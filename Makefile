@@ -57,8 +57,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the trace codecs and the batch/per-access
-# differential; extend -fuzztime for a real session.
+# Short fuzz pass over the stream combinators against their slice-level
+# references; extend -fuzztime for a real session.
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzBatchDifferential -fuzztime 30s
 
@@ -67,8 +67,9 @@ fuzz:
 # trace codec, the segmented compiled-trace decoder (truncated payloads,
 # corrupt segment indexes), the result-store manifest decoder, and the
 # roster/scheme declaration decoder (hostile roster files and simd
-# request bodies).
+# request bodies) — plus the stream-combinator differential.
 fuzz-smoke:
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBatchDifferential -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzStreamCodecCorruption -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzCompiledDecode -fuzztime 10s
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s
@@ -77,10 +78,10 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Grid-engine benchmark pair (fan-out vs per-cell), three repetitions,
-# summarised into BENCH_grid.json and gated on the allocation budget.
+# Grid-engine benchmark, three repetitions, summarised into
+# BENCH_grid.json and gated on the allocation budget and throughput floor.
 bench-grid:
-	$(GO) test -run '^$$' -bench 'BenchmarkGrid(Fanout|PerCell)$$' -benchmem -count 3 . \
+	$(GO) test -run '^$$' -bench 'BenchmarkGridFanout$$' -benchmem -count 3 . \
 		| $(GO) run ./cmd/benchjson -o BENCH_grid.json \
 			-maxallocs BenchmarkGridFanout=$(GRID_ALLOC_BUDGET) \
 			-minmetric BenchmarkGridFanout:accesses/s=$(GRID_MIN_ACCESS_RATE)

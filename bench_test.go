@@ -228,14 +228,14 @@ func BenchmarkAblationBCacheReplacement(b *testing.B) {
 // BenchmarkAblationInterleaving compares round-robin and stochastic SMT
 // interleaving for the Figure-13 setup.
 func BenchmarkAblationInterleaving(b *testing.B) {
-	gen := func() (trace.Reader, trace.Reader) {
-		return workload.MustLookup("fft").Generate(1, 50_000).NewReader(),
-			workload.MustLookup("susan").Generate(2, 50_000).NewReader()
+	gen := func() (trace.BatchReader, trace.BatchReader) {
+		return workload.MustLookup("fft").Generate(1, 50_000).NewBatchReader(),
+			workload.MustLookup("susan").Generate(2, 50_000).NewBatchReader()
 	}
-	run := func(b *testing.B, mk func() trace.Reader) {
+	run := func(b *testing.B, mk func() trace.BatchReader) {
 		var mr float64
 		for i := 0; i < b.N; i++ {
-			tr, err := trace.Collect(mk(), 0)
+			tr, err := trace.CollectBatch(mk(), 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -245,10 +245,10 @@ func BenchmarkAblationInterleaving(b *testing.B) {
 		b.ReportMetric(mr, "missrate")
 	}
 	b.Run("round_robin", func(b *testing.B) {
-		run(b, func() trace.Reader { a, c := gen(); return trace.RoundRobin(a, c) })
+		run(b, func() trace.BatchReader { a, c := gen(); return trace.RoundRobinBatch(a, c) })
 	})
 	b.Run("stochastic", func(b *testing.B) {
-		run(b, func() trace.Reader { a, c := gen(); return trace.Stochastic(rng.New(7), a, c) })
+		run(b, func() trace.BatchReader { a, c := gen(); return trace.StochasticBatch(rng.New(7), a, c) })
 	})
 }
 
@@ -395,11 +395,10 @@ func BenchmarkWorkloadGen(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayBatched vs BenchmarkReplayNext measures the replay hot
-// loop's two shapes over the same materialized trace and cache model: the
-// batched path (RunBatched with its AccessBatch devirtualization) against
-// the per-access interface path (RunReader).  The headline accesses/s
-// metric is what EXPERIMENTS.md quotes for the streaming refactor.
+// BenchmarkReplayBatched measures the replay hot loop over a materialized
+// trace: RunBatched with its AccessBatch devirtualization.  The headline
+// accesses/s metric is what EXPERIMENTS.md quotes for the streaming
+// refactor.
 func BenchmarkReplayBatched(b *testing.B) {
 	tr := workload.MustLookup("dijkstra").Generate(1, 262_144)
 	model := mustCache(cache.Config{Layout: paperLayout, Ways: 1, WriteAllocate: true})
@@ -407,18 +406,6 @@ func BenchmarkReplayBatched(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cache.RunBatched(model, tr.NewBatchReader(), buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)*float64(len(tr))/b.Elapsed().Seconds(), "accesses/s")
-}
-
-func BenchmarkReplayNext(b *testing.B) {
-	tr := workload.MustLookup("dijkstra").Generate(1, 262_144)
-	model := mustCache(cache.Config{Layout: paperLayout, Ways: 1, WriteAllocate: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cache.RunReader(model, tr.NewReader()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -498,15 +485,12 @@ func BenchmarkReplayCompiled(b *testing.B) {
 	b.ReportMetric(float64(b.N)*float64(ct.Len())/b.Elapsed().Seconds(), "accesses/s")
 }
 
-// BenchmarkGridFanout vs BenchmarkGridPerCell is the generate-once grid
-// engine's headline pair: the full scheme roster over three MiBench
-// workloads at the paper's default trace length, run by the fan-out engine
-// (compiled-trace replay: every pass after the first decodes the cached
-// artifact instead of re-running the generator pump) and by the legacy
-// per-cell engine (one stream per cell plus private profiling passes).
-// Results are asserted byte-identical by internal/core's equivalence
-// tests; the numbers land in BENCH_grid.json via `make bench-grid`, which
-// gates both the allocation budget and the accesses/s floor.
+// BenchmarkGridFanout is the grid engine's headline benchmark: the full
+// scheme roster over three MiBench workloads at the paper's default trace
+// length, with compiled-trace replay (every pass after the first decodes
+// the cached artifact instead of re-running the generator pump).  The
+// numbers land in BENCH_grid.json via `make bench-grid`, which gates both
+// the allocation budget and the accesses/s floor.
 //
 // The accesses/s metric counts SIMULATED accesses — every access each
 // scheme's model replays (TraceLength x benches x schemes per op) — not
@@ -525,18 +509,6 @@ func BenchmarkGridFanout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Grid(context.Background(), cfg, schemes, benches); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)*float64(cfg.TraceLength*len(benches)*len(schemes))/b.Elapsed().Seconds(), "accesses/s")
-}
-
-func BenchmarkGridPerCell(b *testing.B) {
-	cfg, schemes, benches := gridBenchInputs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.GridPerCell(context.Background(), cfg, schemes, benches); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,7 +41,6 @@ func main() {
 	seed := flag.Uint64("seed", 0, "workload seed (0 = paper default)")
 	metric := flag.String("metric", "missrate", "metric: missrate, amat, kurtosis, skewness")
 	parallel := flag.Int("parallel", 0, "max concurrent benchmark workers in the fan-out grid (0 = GOMAXPROCS); peak memory grows with this, not with -len")
-	percell := flag.Bool("percell", false, "use the legacy per-cell grid engine (one generator pass per scheme×benchmark cell)")
 	cacheDir := flag.String("cache", "", "result-store directory: reuse previously simulated cells and persist new ones (incremental regeneration)")
 	csv := flag.Bool("csv", false, "emit CSV")
 	compileTraces := flag.Bool("compile-traces", false, "compile each benchmark's access trace once and replay the cached artifact for every scheme (persisted under -cache when set)")
@@ -103,7 +102,6 @@ func main() {
 	cfg := core.Default()
 	cfg.TraceLength = *length
 	cfg.Parallelism = *parallel
-	cfg.PerCell = *percell
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}

@@ -40,7 +40,6 @@ func main() {
 	sets := flag.Int("sets", 1024, "L1 set count")
 	penalty := flag.Float64("penalty", 20, "L1 miss penalty in cycles")
 	parallel := flag.Int("parallel", 0, "max concurrent benchmark workers in the fan-out grid (0 = GOMAXPROCS); peak memory grows with this, not with -len")
-	percell := flag.Bool("percell", false, "use the legacy per-cell grid engine (one generator pass per scheme×benchmark cell)")
 	cacheDir := flag.String("cache", "", "result-store directory: reuse previously simulated cells and persist new ones (incremental figure regeneration)")
 	csv := flag.Bool("csv", false, "emit CSV instead of text tables")
 	rosterFlag := flag.String("roster", "", "run the declared scheme × benchmark roster (JSON file) instead of the figures")
@@ -73,7 +72,6 @@ func main() {
 	cfg.TraceLength = *length
 	cfg.MissPenalty = *penalty
 	cfg.Parallelism = *parallel
-	cfg.PerCell = *percell
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}

@@ -1,5 +1,5 @@
 // Command tracegen writes a synthetic benchmark trace to disk in the
-// binary or text format of package trace, for replay by cmd/uniformity or
+// binary, compact or text format of package trace, for replay by cmd/uniformity or
 // external tools.  The trace is streamed from the generator straight into
 // the encoder in batches, so files of any -len are produced in constant
 // memory.

@@ -23,7 +23,7 @@ func main() {
 	// Two threads: fft and susan, interleaved one access per "cycle".
 	fft := workload.MustLookup("fft").Generate(1, 250_000)
 	susan := workload.MustLookup("susan").Generate(2, 250_000)
-	mix, err := trace.Collect(trace.RoundRobin(fft.NewReader(), susan.NewReader()), 0)
+	mix, err := trace.CollectBatch(trace.RoundRobinBatch(fft.NewBatchReader(), susan.NewBatchReader()), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestSMTPipelineEndToEnd(t *testing.T) {
 	layout := addr.MustLayout(32, 1024, 32)
 	a := workload.MustLookup("fft").Generate(1, 20_000)
 	b := workload.MustLookup("crc").Generate(2, 20_000)
-	mix, err := trace.Collect(trace.RoundRobin(a.NewReader(), b.NewReader()), 0)
+	mix, err := trace.CollectBatch(trace.RoundRobinBatch(a.NewBatchReader(), b.NewBatchReader()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -315,7 +315,7 @@ func TestMissRateHitRate(t *testing.T) {
 	}
 }
 
-func TestRunAndRunReader(t *testing.T) {
+func TestRunAndRunBatched(t *testing.T) {
 	tr := trace.Trace{read(0), read(0), read(32)}
 	c := dmCache(t)
 	ctr := Run(c, tr)
@@ -323,9 +323,9 @@ func TestRunAndRunReader(t *testing.T) {
 		t.Errorf("Run counters: %+v", ctr)
 	}
 	c.Reset()
-	ctr, err := RunReader(c, tr.NewReader())
-	if err != nil || ctr.Accesses != 3 {
-		t.Errorf("RunReader: %v %+v", err, ctr)
+	ctr, err := RunBatched(c, tr.NewBatchReader(), nil)
+	if err != nil || ctr.Accesses != 3 || ctr.Hits != 1 {
+		t.Errorf("RunBatched: %v %+v", err, ctr)
 	}
 }
 

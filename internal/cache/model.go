@@ -152,21 +152,6 @@ func Run(m Model, tr trace.Trace) Counters {
 	return m.Counters()
 }
 
-// RunReader replays a trace.Reader through a model until EOF.
-func RunReader(m Model, r trace.Reader) (Counters, error) {
-	for {
-		a, err := r.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return m.Counters(), err
-		}
-		m.Access(a)
-	}
-	return m.Counters(), nil
-}
-
 // BatchAccessor is an optional fast path: models that implement it replay
 // a whole batch in one concrete call, so the per-access virtual dispatch
 // of Model.Access disappears from the hot loop.

@@ -23,15 +23,9 @@ type Config struct {
 	Seed uint64 `json:"seed"`
 	// MissPenalty is the L1 miss cost in cycles for AMAT.
 	MissPenalty float64 `json:"miss_penalty"`
-	// Parallelism bounds concurrent workers; 0 means GOMAXPROCS.  The
-	// fan-out grid parallelises over benchmarks, the per-cell grid over
-	// (benchmark, scheme) cells; results are identical at every value.
+	// Parallelism bounds concurrent workers; 0 means GOMAXPROCS.  The grid
+	// parallelises over benchmarks; results are identical at every value.
 	Parallelism int `json:"-"`
-	// PerCell selects the legacy cell-parallel grid engine (one stream per
-	// (benchmark, scheme) cell) instead of the generate-once fan-out.  It
-	// exists as an A/B escape hatch and benchmark baseline; both engines
-	// produce byte-identical results.
-	PerCell bool `json:"-"`
 	// Traces, when non-nil, supplies compiled traces: the engines replay a
 	// benchmark's decoded artifact (compiled once, cached by the source)
 	// instead of pumping its generator, and the fan-out grid may shard one
@@ -42,7 +36,7 @@ type Config struct {
 	// and from Canonical() for the same reason as Memo.
 	Traces TraceSource `json:"-"`
 	// Memo, when non-nil, intercepts the name-based evaluation entry
-	// points (Grid, GridPerCell, RunOne): the call is handed to the
+	// points (Grid, RunOne): the call is handed to the
 	// memoizer — in practice internal/resultstore — which serves cached
 	// cells and computes only the missing ones through the real engines.
 	// Callers that assemble a Config once (the CLIs, the server) get
@@ -79,8 +73,7 @@ func Default() Config {
 
 // Canonical returns the semantic identity of the configuration: every
 // result-relevant zero field is filled from Default, and every field that
-// cannot influence a Result (Parallelism, PerCell, Traces, Memo) is
-// zeroed.  Two
+// cannot influence a Result (Parallelism, Traces, Memo) is zeroed.  Two
 // configs with equal Canonical() values produce byte-identical results,
 // so Canonical() is what a result store must hash — hashing an
 // unnormalized Config would give the same experiment two different keys
@@ -102,7 +95,6 @@ func (c Config) Canonical() Config {
 		c.MissPenalty = d.MissPenalty
 	}
 	c.Parallelism = 0
-	c.PerCell = false
 	c.Traces = nil
 	c.Memo = nil
 	return c
@@ -116,7 +108,6 @@ func (c Config) normalized() Config {
 	if n.Parallelism <= 0 {
 		n.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	n.PerCell = c.PerCell
 	n.Traces = c.Traces
 	n.Memo = c.Memo
 	return n

@@ -47,7 +47,7 @@ func TestConfigCanonicalRoundTrip(t *testing.T) {
 
 // TestConfigCanonicalCollapsesEquivalents pins the false-cache-miss fix:
 // every spelling of "the default experiment" — zero fields, explicit
-// defaults, different Parallelism/PerCell/Memo — canonicalises to the
+// defaults, different Parallelism/Memo — canonicalises to the
 // same value and hence the same store key.
 func TestConfigCanonicalCollapsesEquivalents(t *testing.T) {
 	want := Default().Canonical()
@@ -55,7 +55,6 @@ func TestConfigCanonicalCollapsesEquivalents(t *testing.T) {
 		{},
 		Default(),
 		{Parallelism: 7},
-		{PerCell: true},
 		{TraceLength: 300_000, Seed: 20110913},
 		{Memo: stubMemo{}},
 	}
@@ -82,7 +81,7 @@ func TestConfigCanonicalCollapsesEquivalents(t *testing.T) {
 }
 
 func TestConfigCanonicalIdempotent(t *testing.T) {
-	cfg := Config{TraceLength: 1000, Parallelism: 3, PerCell: true}
+	cfg := Config{TraceLength: 1000, Parallelism: 3}
 	once := cfg.Canonical()
 	twice := once.Canonical()
 	if !reflect.DeepEqual(once, twice) {

@@ -10,8 +10,8 @@ import (
 
 // The fan-out grid's contract is byte-identity: every cell of the
 // generate-once engine must deep-equal what sequential RunOne (and the
-// per-cell engine) produce, at every parallelism level, because each model
-// still replays the exact same access sequence.
+// per-cell oracle, gridPerCell) produce, at every parallelism level,
+// because each model still replays the exact same access sequence.
 
 func equivalenceConfig() Config {
 	cfg := Default()
@@ -61,26 +61,20 @@ func TestGridFanoutMatchesPerCell(t *testing.T) {
 	schemes := SchemeNames("")
 	benches := []string{"qsort", "mcf"}
 
-	percell, err := GridPerCell(context.Background(), cfg, schemes, benches)
+	resolvedSchemes, resolvedBenches, err := resolveGrid(schemes, benches)
 	if err != nil {
-		t.Fatalf("GridPerCell: %v", err)
+		t.Fatal(err)
+	}
+	percell, err := gridPerCell(context.Background(), cfg, resolvedSchemes, resolvedBenches)
+	if err != nil {
+		t.Fatalf("gridPerCell: %v", err)
 	}
 	fanout, err := Grid(context.Background(), cfg, schemes, benches)
 	if err != nil {
 		t.Fatalf("Grid: %v", err)
 	}
 	if !reflect.DeepEqual(fanout, percell) {
-		t.Fatalf("fan-out grid diverges from per-cell grid")
-	}
-
-	// Config.PerCell must route Grid to the per-cell engine.
-	cfg.PerCell = true
-	routed, err := Grid(context.Background(), cfg, schemes, benches)
-	if err != nil {
-		t.Fatalf("Grid(PerCell): %v", err)
-	}
-	if !reflect.DeepEqual(routed, percell) {
-		t.Fatalf("Grid with PerCell=true diverges from GridPerCell")
+		t.Fatalf("fan-out grid diverges from per-cell oracle")
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 )
 
 // PanicError records a panic recovered inside the evaluation engine — a
-// scheme constructor or replay hot path that blew up on one cell.  The
-// grid engines convert such panics into per-cell errors so a single
+// scheme constructor or replay hot path that blew up on one cell.  RunOne
+// and Grid convert such panics into per-cell errors so a single
 // faulty model cannot tear down a multi-benchmark run: the cell carries
 // the panic (with its captured stack) in Result.Err and every other cell
 // completes normally.

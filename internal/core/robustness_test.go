@@ -49,7 +49,7 @@ func faultyBench(t *testing.T) workload.Spec {
 // test of the robustness contract: one faulty scheme and one faulty
 // benchmark in a 2x2 grid must yield errors in exactly the three cells
 // they touch, a valid result in the untouched cell, and no goroutines
-// left behind — through both grid engines.
+// left behind — through the grid engine and the per-cell oracle.
 func TestGridFaultInjectionPoisonsExactlyTheInjectedCells(t *testing.T) {
 	healthy, err := SchemeByName("baseline")
 	if err != nil {
@@ -71,11 +71,14 @@ func TestGridFaultInjectionPoisonsExactlyTheInjectedCells(t *testing.T) {
 			defer testutil.CheckLeaks(t)
 			cfg := Default()
 			cfg.TraceLength = 20_000
-			cfg.PerCell = percell
 
-			grid, err := GridOf(context.Background(), cfg, schemes, benches)
+			run := GridOf
+			if percell {
+				run = gridPerCell
+			}
+			grid, err := run(context.Background(), cfg, schemes, benches)
 			if err != nil {
-				t.Fatalf("GridOf: %v", err)
+				t.Fatalf("grid: %v", err)
 			}
 
 			ok := grid["fft"]["baseline"]
@@ -107,9 +110,10 @@ func TestGridFaultInjectionPoisonsExactlyTheInjectedCells(t *testing.T) {
 	}
 }
 
-// TestGridPerCellPanicBecomesPanicError pins the error type of the
-// per-cell engine: a model panic surfaces as *PanicError with a captured
-// stack, addressed to the failing cell.
+// TestGridPerCellPanicBecomesPanicError pins the error type of runCell,
+// the single-cell path RunOne and the per-cell oracle share: a model panic
+// surfaces as *PanicError with a captured stack, addressed to the failing
+// cell.
 func TestGridPerCellPanicBecomesPanicError(t *testing.T) {
 	defer testutil.CheckLeaks(t)
 	goodBench, err := workload.Lookup("fft")
@@ -118,11 +122,10 @@ func TestGridPerCellPanicBecomesPanicError(t *testing.T) {
 	}
 	cfg := Default()
 	cfg.TraceLength = 5_000
-	cfg.PerCell = true
-	grid, err := GridOf(context.Background(), cfg,
+	grid, err := gridPerCell(context.Background(), cfg,
 		[]Scheme{panickyScheme(100)}, []workload.Spec{goodBench})
 	if err != nil {
-		t.Fatalf("GridOf: %v", err)
+		t.Fatalf("gridPerCell: %v", err)
 	}
 	var pe *PanicError
 	if e := grid["fft"]["panicky"].Err; !errors.As(e, &pe) {
@@ -166,19 +169,22 @@ func TestGridCancellationReturnsPartialResultsAndLeaksNothing(t *testing.T) {
 			bench := slowBench(t, 2*time.Millisecond)
 			cfg := Default()
 			cfg.TraceLength = 200 * trace.DefaultBatch // ~400ms of injected delay
-			cfg.PerCell = percell
 			cfg.Parallelism = 1
+			run := GridOf
+			if percell {
+				run = gridPerCell
+			}
 
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(10 * time.Millisecond)
 				cancel()
 			}()
-			grid, gridErr := GridOf(ctx, cfg, []Scheme{baseline}, []workload.Spec{bench})
+			grid, gridErr := run(ctx, cfg, []Scheme{baseline}, []workload.Spec{bench})
 			cancel()
 
 			if !errors.Is(gridErr, context.Canceled) {
-				t.Errorf("GridOf error = %v, want context.Canceled", gridErr)
+				t.Errorf("grid error = %v, want context.Canceled", gridErr)
 			}
 			if grid == nil {
 				t.Fatal("cancelled grid returned nil map instead of partial results")

@@ -143,8 +143,8 @@ func runCell(ctx context.Context, cfg Config, scheme Scheme, benchName string, s
 }
 
 // finishCell derives the cell's metrics from a fully-replayed model; the
-// per-cell and fan-out engines share it so their results are computed
-// identically.
+// single-cell entry points and the fan-out grid share it so their results
+// are computed identically.
 func finishCell(res *Result, cfg Config, scheme Scheme, model cache.Model) {
 	res.Counters = model.Counters()
 	res.MissRate = res.Counters.MissRate()
@@ -215,15 +215,14 @@ func gridResults(schemes []Scheme, benches []workload.Spec, results [][]Result) 
 }
 
 // Grid evaluates schemes × benchmarks and returns results keyed by
-// [benchmark][scheme].  The default engine is the generate-once fan-out:
-// workers parallelise over benchmarks, and each benchmark's stream is
-// generated exactly twice — one shared profiling pass feeding every
-// profile-driven scheme (BuildFromProfile), one replay pass whose batches
-// are broadcast to all scheme models at once — instead of once per
-// (scheme, pass) as in the per-cell engine.  Peak memory stays
-// O(batch × Parallelism + profile); results are byte-identical to
-// GridPerCell at every Parallelism value, because every model still sees
-// the exact same access sequence in the same order.
+// [benchmark][scheme].  The engine is the generate-once fan-out: workers
+// parallelise over benchmarks, and each benchmark's stream is generated
+// exactly twice — one shared profiling pass feeding every profile-driven
+// scheme (BuildFromProfile), one replay pass whose batches are broadcast
+// to all scheme models at once — instead of once per (scheme, pass).
+// Peak memory stays O(batch × Parallelism + profile); every cell is
+// byte-identical to RunOne at every Parallelism value, because every model
+// still sees the exact same access sequence in the same order.
 //
 // Degradation is per-cell: a scheme that errors or panics carries the
 // failure in its Result.Err while every other cell completes.  Cancelling
@@ -250,10 +249,6 @@ func Grid(ctx context.Context, cfg Config, schemeNames, benchNames []string) (ma
 // the production engine — and follows Grid's partial-results contract.
 func GridOf(ctx context.Context, cfg Config, schemes []Scheme, benches []workload.Spec) (map[string]map[string]Result, error) {
 	cfg = cfg.normalized()
-	if cfg.PerCell {
-		return GridPerCellOf(ctx, cfg, schemes, benches)
-	}
-
 	results := make([][]Result, len(benches))
 	benchIdx := make(chan int)
 	var workers sync.WaitGroup
@@ -452,68 +447,6 @@ func runBenchFanout(ctx context.Context, cfg Config, schemes []Scheme, bench wor
 		finishCell(&out[i], cfg, schemes[i], models[i])
 	}
 	return out
-}
-
-// GridPerCell is the legacy cell-parallel grid engine: every (benchmark,
-// scheme) cell regenerates the benchmark's stream from the shared seed, so
-// a roster of N schemes costs ~N generator passes per benchmark (plus one
-// more per profile-driven scheme).  Kept as the A/B baseline for the
-// fan-out engine and its benchmark pair; results are byte-identical, and
-// the cancellation/partial-results contract matches Grid's.
-func GridPerCell(ctx context.Context, cfg Config, schemeNames, benchNames []string) (map[string]map[string]Result, error) {
-	schemes, benches, err := resolveGrid(schemeNames, benchNames)
-	if err != nil {
-		return nil, err
-	}
-	if m := cfg.Memo; m != nil {
-		cfg.Memo = nil
-		cfg.PerCell = true
-		return m.MemoGrid(ctx, cfg, schemeNames, benchNames)
-	}
-	return GridPerCellOf(ctx, cfg, schemes, benches)
-}
-
-// GridPerCellOf is GridPerCell over already-resolved definitions — the
-// per-cell counterpart of GridOf.
-func GridPerCellOf(ctx context.Context, cfg Config, schemes []Scheme, benches []workload.Spec) (map[string]map[string]Result, error) {
-	cfg = cfg.normalized()
-
-	type cell struct {
-		bench, scheme int
-	}
-	cells := make(chan cell)
-	results := make([][]Result, len(benches))
-	for i := range results {
-		results[i] = make([]Result, len(schemes))
-	}
-	var workers sync.WaitGroup
-	for w := 0; w < cfg.Parallelism; w++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			buf := make([]trace.Access, trace.DefaultBatch) // reused across this worker's cells
-			for c := range cells {
-				b := benches[c.bench]
-				sf, _ := streamFor(ctx, cfg, b)
-				results[c.bench][c.scheme] = runCell(ctx, cfg, schemes[c.scheme], b.Name, sf, buf)
-			}
-		}()
-	}
-feed:
-	for bi := range benches {
-		for si := range schemes {
-			select {
-			case cells <- cell{bi, si}:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-	}
-	close(cells)
-	workers.Wait()
-
-	fillUnrun(ctx, schemes, benches, results)
-	return gridResults(schemes, benches, results), ctx.Err()
 }
 
 // MissReductionVsBaseline returns the paper's "% reduction in miss rate"

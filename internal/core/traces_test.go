@@ -120,12 +120,12 @@ func TestCompiledReplayMatchesGeneratorPerCell(t *testing.T) {
 	schemes := fullRoster(t)[:6]
 	benches := tracedWorkloads(t)[:2]
 
-	want, err := GridPerCellOf(context.Background(), cfg, schemes, benches)
+	want, err := gridPerCell(context.Background(), cfg, schemes, benches)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Traces = NewMemTraceCache(0)
-	got, err := GridPerCellOf(context.Background(), cfg, schemes, benches)
+	got, err := gridPerCell(context.Background(), cfg, schemes, benches)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,8 @@ func (s *Store) Grid(ctx context.Context, cfg core.Config, schemeNames, benchNam
 	return s.GridDecls(ctx, cfg, schemeDecls, benchDecls)
 }
 
-// MemoGrid implements core.Memoizer: Grid and GridPerCell with cfg.Memo
-// set land here.
+// MemoGrid implements core.Memoizer: core.Grid with cfg.Memo set lands
+// here.
 func (s *Store) MemoGrid(ctx context.Context, cfg core.Config, schemeNames, benchNames []string) (map[string]map[string]core.Result, error) {
 	return s.Grid(ctx, cfg, schemeNames, benchNames)
 }

@@ -14,9 +14,10 @@ import (
 // whose results they hold.  Bump it whenever a change alters what any
 // scheme computes — new replacement behaviour, trace-generation changes,
 // counter semantics — and every stale entry silently becomes a miss.
-// Refactors that preserve results (the two grid engines are byte-
-// identical, for example) must NOT bump it, or a warm store is thrown
-// away for nothing.
+// Refactors that preserve results (removing an engine or a code path
+// whose output the remaining one matches byte for byte, for example) must
+// NOT bump it, or a warm store is thrown away for nothing;
+// TestCellKeyGolden pins two keys to catch an accidental change.
 //
 // Version "2": cell identities changed from (scheme name, benchmark
 // name) strings to canonical scheme/benchmark declarations, so declared
@@ -44,7 +45,7 @@ type keyPayload struct {
 // Both declarations are resolved through the registry first, so
 // semantically equal spellings share a key and invalid declarations fail
 // here with the offending field named.  Configs that differ only in
-// execution-steering fields (Parallelism, PerCell, Memo) map to the same
+// execution-steering fields (Parallelism, Traces, Memo) map to the same
 // key; see core.Config.Canonical.
 func CellKeyDecl(cfg core.Config, scheme, bench registry.Decl, version string) (string, error) {
 	sc, err := registry.ResolveScheme(scheme)

@@ -21,7 +21,6 @@ func TestCellKeyCollapsesEquivalentConfigs(t *testing.T) {
 	equivalents := []core.Config{
 		core.Default(),
 		{Parallelism: 7},
-		{PerCell: true},
 		{TraceLength: 300_000, Seed: 20110913},
 	}
 	for i, cfg := range equivalents {
@@ -31,6 +30,35 @@ func TestCellKeyCollapsesEquivalentConfigs(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("config %d: key %s, want %s", i, got, want)
+		}
+	}
+}
+
+// TestCellKeyGolden pins two store keys at CodeVersion "2".  A change to
+// Config's fields, their canonical JSON or the key payload that moves
+// these values orphans every persisted cell, so it must come with a
+// CodeVersion bump and new values here.
+func TestCellKeyGolden(t *testing.T) {
+	if CodeVersion != "2" {
+		t.Fatalf("CodeVersion = %q; re-pin the golden keys for the new version", CodeVersion)
+	}
+	parallel := core.Default()
+	parallel.Parallelism = 7
+	cases := []struct {
+		cfg           core.Config
+		scheme, bench string
+		want          string
+	}{
+		{core.Default(), "baseline", "fft", "f3e0ef09e29b724001f47ded9e507e3af190c2555d58c381f9a6c2820c130be3"},
+		{parallel, "xor", "sha", "1143aad53505e3c9a7acee94e530f9868ce2da10cc4384173642d9ee3598752e"},
+	}
+	for _, c := range cases {
+		got, err := CellKey(c.cfg, c.scheme, c.bench, CodeVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("CellKey(%s, %s) = %s, want %s", c.scheme, c.bench, got, c.want)
 		}
 	}
 }

@@ -456,11 +456,4 @@ func TestMemoizerInstallation(t *testing.T) {
 	if c := s.Counters(); c.MemoryHits != 3 {
 		t.Fatalf("RunOne did not hit the store (counters %+v)", c)
 	}
-	// The per-cell engine shares the same store.
-	if _, err := core.GridPerCell(ctx, cfg, []string{"baseline", "xor"}, []string{"crc"}); err != nil {
-		t.Fatal(err)
-	}
-	if c := s.Counters(); c.MemoryHits != 5 || c.Stores != 2 {
-		t.Fatalf("per-cell grid counters = %+v, want 5 memory hits and no new stores", c)
-	}
 }

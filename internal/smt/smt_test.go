@@ -154,7 +154,7 @@ func TestSMTWorkloadMixEndToEnd(t *testing.T) {
 	// conventional vs per-thread odd-multiplier indexing.
 	t1 := workload.MustLookup("fft").Generate(1, 30000)
 	t2 := workload.MustLookup("sha").Generate(2, 30000)
-	mix, err := trace.Collect(trace.RoundRobin(t1.NewReader(), t2.NewReader()), 0)
+	mix, err := trace.CollectBatch(trace.RoundRobinBatch(t1.NewBatchReader(), t2.NewBatchReader()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,9 +100,11 @@ func CollectBatch(r BatchReader, max int) (Trace, error) {
 	}
 }
 
-// Cursor adapts a BatchReader back to per-access iteration: it buffers one
-// batch internally and serves Next from it.  Cursor implements Reader, so
-// batched streams can feed any legacy per-access consumer.
+// Cursor adapts a BatchReader to per-access iteration: it buffers one
+// batch internally and serves Next from it.  It is the one per-access view
+// of a stream, for consumers that must interleave several streams access
+// by access (RoundRobinBatch, StochasticBatch, workload.MixedBatch) or
+// inspect accesses one at a time.
 type Cursor struct {
 	r   BatchReader
 	buf []Access
@@ -116,10 +118,8 @@ func NewCursor(r BatchReader) *Cursor {
 	return &Cursor{r: r, buf: make([]Access, DefaultBatch)}
 }
 
-// Unbatched is NewCursor returned as the plain Reader interface.
-func Unbatched(r BatchReader) Reader { return NewCursor(r) }
-
-// Next implements Reader.
+// Next returns the next access.  An exhausted stream returns io.EOF, and a
+// failed one its error, on this and every later call.
 func (c *Cursor) Next() (Access, error) {
 	if c.pos >= c.n {
 		if c.err != nil {
@@ -144,44 +144,4 @@ func (c *Cursor) Next() (Access, error) {
 func (c *Cursor) Close() error {
 	CloseBatch(c.r)
 	return nil
-}
-
-// Batched adapts a per-access Reader to the batch interface.
-type batchedReader struct {
-	r   Reader
-	err error
-}
-
-// Batched wraps a per-access Reader as a BatchReader.
-func Batched(r Reader) BatchReader { return &batchedReader{r: r} }
-
-// Close forwards to the wrapped Reader when it is closeable.
-func (b *batchedReader) Close() error {
-	if c, ok := b.r.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-func (b *batchedReader) ReadBatch(dst []Access) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	if b.err != nil {
-		return 0, b.err
-	}
-	n := 0
-	for n < len(dst) {
-		a, err := b.r.Next()
-		if err != nil {
-			b.err = err
-			break
-		}
-		dst[n] = a
-		n++
-	}
-	if n == 0 {
-		return 0, b.err
-	}
-	return n, nil
 }

@@ -54,7 +54,7 @@ func TestSliceBatchReaderContract(t *testing.T) {
 
 func TestCollectBatchLimits(t *testing.T) {
 	tr := batchSample(100)
-	// max <= 0 means unlimited, mirroring Collect.
+	// max <= 0 means unlimited.
 	for _, max := range []int{0, -5} {
 		got, err := CollectBatch(tr.NewBatchReader(), max)
 		if err != nil || len(got) != 100 {
@@ -96,7 +96,6 @@ func TestBatchCombinatorsOnEmptySources(t *testing.T) {
 		{"concat_none", ConcatBatch()},
 		{"concat_empty", ConcatBatch(empty.NewBatchReader(), empty.NewBatchReader())},
 		{"roundrobin", RoundRobinBatch(empty.NewBatchReader(), empty.NewBatchReader())},
-		{"batched", Batched(empty.NewReader())},
 	}
 	for _, c := range cases {
 		if n, err := c.r.ReadBatch(buf); n != 0 || err != io.EOF {
@@ -152,58 +151,35 @@ func TestCursorRoundTrip(t *testing.T) {
 const b3 = 3*DefaultBatch + 17 // forces several internal refills plus a partial batch
 
 // TestStreamCodecsRoundTrip checks the v2 streaming encoders against the
-// batch decoders, and that the batch decoders still accept the v1 counted
-// files the slice-based writers produce.
+// batch decoders, and that the decoders still accept v1 counted files.
 func TestStreamCodecsRoundTrip(t *testing.T) {
 	tr := batchSample(500)
 	type codec struct {
 		name  string
+		magic string
 		enc   func(io.Writer, BatchReader) (int, error)
 		dec   func(io.Reader) (BatchReader, error)
-		write func(io.Writer, Trace) error
 	}
 	codecs := []codec{
-		{"binary", EncodeBinary, NewBinaryBatchReader, WriteBinary},
-		{"compact", EncodeCompact, NewCompactBatchReader, WriteCompact},
+		{"binary", binaryMagic, EncodeBinary, NewBinaryBatchReader},
+		{"compact", compactMagic, EncodeCompact, NewCompactBatchReader},
 	}
 	for _, c := range codecs {
-		var v2 bytes.Buffer
-		n, err := c.enc(&v2, tr.NewBatchReader())
-		if err != nil || n != len(tr) {
-			t.Fatalf("%s: encode = (%d, %v)", c.name, n, err)
+		v2 := encode(t, c.enc, tr)
+		for version, data := range map[string][]byte{
+			"v2": v2,
+			"v1": v1File(c.magic, len(tr), v2[headerSize:]),
+		} {
+			got, err := decode(c.dec, data)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, version, err)
+			}
+			diffTraces(t, c.name+" "+version, tr, got)
 		}
-		dec, err := c.dec(&v2)
-		if err != nil {
-			t.Fatalf("%s: open v2: %v", c.name, err)
-		}
-		got, err := CollectBatch(dec, 0)
-		if err != nil {
-			t.Fatalf("%s: decode v2: %v", c.name, err)
-		}
-		diffTraces(t, c.name+" v2", tr, got)
-
-		var v1 bytes.Buffer
-		if err := c.write(&v1, tr); err != nil {
-			t.Fatalf("%s: v1 write: %v", c.name, err)
-		}
-		dec, err = c.dec(&v1)
-		if err != nil {
-			t.Fatalf("%s: open v1: %v", c.name, err)
-		}
-		got, err = CollectBatch(dec, 0)
-		if err != nil {
-			t.Fatalf("%s: decode v1: %v", c.name, err)
-		}
-		diffTraces(t, c.name+" v1", tr, got)
 	}
 
 	// Text has no version header; just check stream-encode → batch-decode.
-	var txt bytes.Buffer
-	n, err := EncodeText(&txt, tr.NewBatchReader())
-	if err != nil || n != len(tr) {
-		t.Fatalf("text: encode = (%d, %v)", n, err)
-	}
-	got, err := CollectBatch(NewTextBatchReader(&txt), 0)
+	got, err := CollectBatch(NewTextBatchReader(bytes.NewReader(encode(t, EncodeText, tr))), 0)
 	if err != nil {
 		t.Fatalf("text: decode: %v", err)
 	}

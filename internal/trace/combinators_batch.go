@@ -6,13 +6,13 @@ import (
 	"cacheuniformity/internal/rng"
 )
 
-// Batched counterparts of the per-access combinators.  Limit, Filter, Map
-// and Concat operate on whole batches; RoundRobin and Stochastic advance
-// their inputs one access at a time through Cursors so that the interleave
-// order — and for Stochastic, the rng call sequence — is exactly the
-// sequence the per-access combinators produce.  Every combinator forwards
-// Close to its inputs so abandoning a composite stream releases any
-// generator goroutines underneath.
+// Stream combinators.  LimitBatch, FilterBatch, MapBatch and ConcatBatch
+// operate on whole batches; RoundRobinBatch and StochasticBatch advance
+// their inputs one access at a time through Cursors, so the interleave
+// order (and for StochasticBatch, the rng call sequence) does not depend
+// on batch sizes.  Every combinator forwards Close to its inputs so
+// abandoning a composite stream releases any generator goroutines
+// underneath.
 
 // LimitBatch wraps r, ending the stream after n accesses (n <= 0 yields an
 // immediately-empty stream).
@@ -147,8 +147,9 @@ func (c *concatBatch) Close() error {
 }
 
 // RoundRobinBatch interleaves the readers one access at a time, tagging
-// stream i with thread id i; it yields the exact sequence RoundRobin
-// produces over the same inputs.
+// stream i with thread id i.  A stream that ends is skipped; the combined
+// stream ends when all inputs end.  This models an SMT fetch policy that
+// alternates between threads every cycle (the paper's M-Sim setup).
 func RoundRobinBatch(rs ...BatchReader) BatchReader {
 	cur := make([]*Cursor, len(rs))
 	live := make([]bool, len(rs))
@@ -220,36 +221,32 @@ func (r *rrBatch) Close() error {
 
 // StochasticBatch interleaves the readers by drawing the next stream
 // uniformly at random from those still live, tagging stream i with thread
-// id i.  Given the same rng source and inputs it draws in the same order as
-// Stochastic and therefore yields the identical sequence.
+// id i.  It models SMT co-scheduling where per-thread issue rates vary.
+// A stream stays live until a draw finds it exhausted, so the sequence of
+// draws depends only on src and the input lengths.
 func StochasticBatch(src *rng.Source, rs ...BatchReader) BatchReader {
 	cur := make([]*Cursor, len(rs))
+	live := make([]int, len(rs))
 	for i, r := range rs {
 		cur[i] = NewCursor(r)
+		live[i] = i
 	}
-	return &stochBatch{src: src, cur: cur}
+	return &stochBatch{src: src, cur: cur, live: live}
 }
 
 type stochBatch struct {
-	src *rng.Source
-	cur []*Cursor
+	src  *rng.Source
+	cur  []*Cursor
+	live []int // indices of the streams not yet seen at EOF, ascending
 }
 
 func (s *stochBatch) readOne() (Access, error) {
-	for {
-		live := make([]int, 0, len(s.cur))
-		for i, c := range s.cur {
-			if c != nil {
-				live = append(live, i)
-			}
-		}
-		if len(live) == 0 {
-			return Access{}, io.EOF
-		}
-		i := live[s.src.Intn(len(live))]
+	for len(s.live) > 0 {
+		j := s.src.Intn(len(s.live))
+		i := s.live[j]
 		a, err := s.cur[i].Next()
 		if err == io.EOF {
-			s.cur[i] = nil
+			s.live = append(s.live[:j], s.live[j+1:]...)
 			continue
 		}
 		if err != nil {
@@ -258,6 +255,7 @@ func (s *stochBatch) readOne() (Access, error) {
 		a.Thread = uint8(i)
 		return a, nil
 	}
+	return Access{}, io.EOF
 }
 
 //lint:hotpath stream combinator on the batch path
@@ -283,9 +281,6 @@ func (s *stochBatch) ReadBatch(dst []Access) (int, error) {
 func (s *stochBatch) Close() error {
 	var first error
 	for _, c := range s.cur {
-		if c == nil {
-			continue
-		}
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 
 	"cacheuniformity/internal/addr"
@@ -12,13 +14,92 @@ import (
 // The codec fuzzers assert the parsers never panic on arbitrary input and
 // that anything they accept round-trips exactly.
 
+// Slice-level reference implementations of the stream combinators: the
+// specification FuzzBatchDifferential holds the streaming forms to.
+
+func refLimit(tr Trace, n int) Trace {
+	if n <= 0 {
+		return nil
+	}
+	return tr[:min(n, len(tr))]
+}
+
+func refFilter(tr Trace, keep func(Access) bool) Trace {
+	var out Trace
+	for _, a := range tr {
+		if keep(a) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+func refMap(tr Trace, fn func(Access) Access) Trace {
+	var out Trace
+	for _, a := range tr {
+		out = append(out, fn(a))
+	}
+	return out
+}
+
+func refConcat(trs ...Trace) Trace {
+	var out Trace
+	for _, tr := range trs {
+		out = append(out, tr...)
+	}
+	return out
+}
+
+// refRoundRobin takes one access from each input in turn, skipping
+// exhausted inputs, and tags input i's accesses with thread i.
+func refRoundRobin(trs ...Trace) Trace {
+	var out Trace
+	for k := 0; ; k++ {
+		took := false
+		for i, tr := range trs {
+			if k < len(tr) {
+				a := tr[k]
+				a.Thread = uint8(i)
+				out = append(out, a)
+				took = true
+			}
+		}
+		if !took {
+			return out
+		}
+	}
+}
+
+// refStochastic draws inputs with src.Intn over the ascending list of
+// inputs not yet found exhausted; a draw that lands on an exhausted input
+// removes it and draws again.
+func refStochastic(src *rng.Source, trs ...Trace) Trace {
+	var out Trace
+	pos := make([]int, len(trs))
+	live := make([]int, len(trs))
+	for i := range live {
+		live[i] = i
+	}
+	for len(live) > 0 {
+		j := src.Intn(len(live))
+		i := live[j]
+		if pos[i] == len(trs[i]) {
+			live = append(live[:j], live[j+1:]...)
+			continue
+		}
+		a := trs[i][pos[i]]
+		a.Thread = uint8(i)
+		out = append(out, a)
+		pos[i]++
+	}
+	return out
+}
+
 // FuzzBatchDifferential is the streaming layer's core invariant, fuzzed:
-// the batched combinators must be observationally identical to the
-// per-access ones.  It builds the same combinator stack twice — once from
-// Reader combinators (Limit, Filter, Map, Concat, RoundRobin, Stochastic)
-// and once from their Batch counterparts — and requires the two to yield
-// the same access sequence for arbitrary source data, seeds, limits and
-// batch sizes.  The Batched/Unbatched adapters are checked the same way.
+// every combinator stack must yield exactly what the slice-level reference
+// implementations above compute, for arbitrary source data, seeds, limits
+// and batch sizes, and must keep the strict EOF contract.  Cursor, the
+// per-access view, is checked the same way.
 func FuzzBatchDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint64(42), 7, 3)
 	f.Add([]byte{}, uint64(1), 0, 1)
@@ -49,8 +130,8 @@ func FuzzBatchDifferential(f *testing.F) {
 		keep := func(a Access) bool { return a.Addr&(1<<5) == 0 }
 		double := func(a Access) Access { a.Addr <<= 1; return a }
 
-		// drain reads the batch side at the fuzzed batch size and checks
-		// the strict EOF contract on the way out.
+		// drain reads a stream at the fuzzed batch size and checks the
+		// strict EOF contract on the way out.
 		drain := func(r BatchReader) Trace {
 			t.Helper()
 			var out Trace
@@ -76,7 +157,7 @@ func FuzzBatchDifferential(f *testing.F) {
 		same := func(name string, want, got Trace) {
 			t.Helper()
 			if len(want) != len(got) {
-				t.Fatalf("%s: per-access yields %d accesses, batched %d", name, len(want), len(got))
+				t.Fatalf("%s: reference yields %d accesses, stream %d", name, len(want), len(got))
 			}
 			for i := range want {
 				if want[i] != got[i] {
@@ -87,79 +168,75 @@ func FuzzBatchDifferential(f *testing.F) {
 
 		// The full stack: every combinator appears at least once, and the
 		// stochastic interleave forces identical rng call order.
-		next := Stochastic(rng.New(seed),
-			Limit(Concat(t1.NewReader(), Filter(t2.NewReader(), keep)), limit),
-			Map(t3.NewReader(), double),
-			RoundRobin(t1.NewReader(), t2.NewReader()),
+		want := refStochastic(rng.New(seed),
+			refLimit(refConcat(t1, refFilter(t2, keep)), limit),
+			refMap(t3, double),
+			refRoundRobin(t1, t2),
 		)
-		batched := StochasticBatch(rng.New(seed),
+		got := drain(StochasticBatch(rng.New(seed),
 			LimitBatch(ConcatBatch(t1.NewBatchReader(), FilterBatch(t2.NewBatchReader(), keep)), limit),
 			MapBatch(t3.NewBatchReader(), double),
 			RoundRobinBatch(t1.NewBatchReader(), t2.NewBatchReader()),
-		)
-		want, err := Collect(next, 0)
-		if err != nil {
-			t.Fatalf("per-access collect: %v", err)
-		}
-		same("stack", want, drain(batched))
+		))
+		same("stack", want, got)
 
-		// The adapters must be transparent in both directions.
-		want2, err := Collect(Limit(t2.NewReader(), limit), 0)
-		if err != nil {
-			t.Fatal(err)
+		// Round-robin over inputs of different lengths, one possibly
+		// empty, exercises the skip-exhausted path.
+		short := refLimit(t3, limit)
+		same("roundrobin", refRoundRobin(t1, short, t2),
+			drain(RoundRobinBatch(t1.NewBatchReader(), LimitBatch(t3.NewBatchReader(), limit), t2.NewBatchReader())))
+
+		// Cursor must replay a stream access by access, then stick at EOF.
+		cur := NewCursor(LimitBatch(t2.NewBatchReader(), limit))
+		var viaCursor Trace
+		for {
+			a, err := cur.Next()
+			if err != nil {
+				if err != io.EOF {
+					t.Fatalf("Cursor.Next: %v", err)
+				}
+				if _, err := cur.Next(); err != io.EOF {
+					t.Fatalf("post-EOF Cursor.Next: %v", err)
+				}
+				break
+			}
+			viaCursor = append(viaCursor, a)
 		}
-		same("adapters", want2, drain(Batched(Unbatched(LimitBatch(t2.NewBatchReader(), limit)))))
+		same("cursor", refLimit(t2, limit), viaCursor)
 	})
 }
 
+// The v1 counted files these fuzzers seed with are built by hand (see
+// v1File); accepted inputs are re-encoded by the streaming encoder, whose
+// v2 output must decode to the same trace.
+
 func FuzzReadBinary(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteBinary(&seed, sampleTrace()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	f.Add(v1Binary(f, sampleTrace()))
 	f.Add([]byte("CUTR"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
+		tr, err := decode(NewBinaryBatchReader, data)
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := WriteBinary(&out, tr); err != nil {
-			t.Fatalf("re-encode of accepted trace failed: %v", err)
-		}
-		back, err := ReadBinary(&out)
-		if err != nil || len(back) != len(tr) {
+		back, err := decode(NewBinaryBatchReader, encode(t, EncodeBinary, tr))
+		if err != nil || !reflect.DeepEqual(back, tr) {
 			t.Fatalf("accepted trace did not round-trip: %v", err)
 		}
 	})
 }
 
 func FuzzReadCompact(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteCompact(&seed, sampleTrace()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	f.Add(v1Compact(f, sampleTrace()))
 	f.Add([]byte("CUTZ"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadCompact(bytes.NewReader(data))
+		tr, err := decode(NewCompactBatchReader, data)
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := WriteCompact(&out, tr); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		back, err := ReadCompact(&out)
-		if err != nil {
-			t.Fatalf("round-trip failed: %v", err)
-		}
-		for i := range tr {
-			if back[i] != tr[i] {
-				t.Fatalf("round-trip mismatch at %d", i)
-			}
+		back, err := decode(NewCompactBatchReader, encode(t, EncodeCompact, tr))
+		if err != nil || !reflect.DeepEqual(back, tr) {
+			t.Fatalf("accepted trace did not round-trip: %v", err)
 		}
 	})
 }
@@ -240,16 +317,12 @@ func FuzzReadText(f *testing.F) {
 	f.Add("# comment\n\nF 0xdeadbeef 3\n")
 	f.Add("garbage")
 	f.Fuzz(func(t *testing.T, s string) {
-		tr, err := ReadText(bytes.NewReader([]byte(s)))
+		tr, err := CollectBatch(NewTextBatchReader(strings.NewReader(s)), 0)
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := WriteText(&out, tr); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		back, err := ReadText(&out)
-		if err != nil || len(back) != len(tr) {
+		back, err := CollectBatch(NewTextBatchReader(bytes.NewReader(encode(t, EncodeText, tr))), 0)
+		if err != nil || !reflect.DeepEqual(back, tr) {
 			t.Fatalf("accepted text did not round-trip: %v", err)
 		}
 	})

@@ -5,15 +5,14 @@
 // M-Sim and observe the resulting L1 reference streams.  Our substitute is
 // trace-driven simulation: workload generators (package workload) emit
 // Access records, and the cache models consume them.  This package holds
-// the record type, in-memory traces, a streaming Reader interface, codecs
-// for storing traces on disk, and stream combinators (filtering, limiting,
-// interleaving) used by the SMT experiments.
+// the record type, in-memory traces, the batched streaming interface
+// (BatchReader), codecs for storing traces on disk, and stream
+// combinators (filtering, limiting, interleaving) used by the SMT
+// experiments.
 package trace
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
 	"cacheuniformity/internal/addr"
 )
@@ -56,48 +55,8 @@ type Access struct {
 	Thread uint8 // hardware thread id for SMT experiments (0 for single-thread)
 }
 
-// Reader is a stream of accesses.  Next returns io.EOF after the last
-// access.  Readers are single-use and not safe for concurrent use.
-type Reader interface {
-	Next() (Access, error)
-}
-
 // Trace is an in-memory access sequence.
 type Trace []Access
-
-// NewReader returns a Reader over the trace.
-func (t Trace) NewReader() Reader { return &sliceReader{t: t} }
-
-type sliceReader struct {
-	t Trace
-	i int
-}
-
-func (r *sliceReader) Next() (Access, error) {
-	if r.i >= len(r.t) {
-		return Access{}, io.EOF
-	}
-	a := r.t[r.i]
-	r.i++
-	return a, nil
-}
-
-// Collect drains a Reader into a Trace, up to max accesses (max <= 0 means
-// unlimited).  Errors other than io.EOF are returned with the partial trace.
-func Collect(r Reader, max int) (Trace, error) {
-	var t Trace
-	for max <= 0 || len(t) < max {
-		a, err := r.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return t, nil
-			}
-			return t, err
-		}
-		t = append(t, a)
-	}
-	return t, nil
-}
 
 // UniqueBlocks returns the distinct block addresses in the trace under the
 // given layout, in first-touch order.  The Givargis and Patel index

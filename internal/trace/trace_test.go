@@ -2,7 +2,6 @@ package trace
 
 import (
 	"errors"
-	"io"
 	"reflect"
 	"testing"
 
@@ -31,46 +30,22 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestSliceReader(t *testing.T) {
-	tr := mkTrace(0x100, 0x200, 0x300)
-	r := tr.NewReader()
-	for i := 0; i < 3; i++ {
-		a, err := r.Next()
-		if err != nil {
-			t.Fatalf("Next %d: %v", i, err)
-		}
-		if a.Addr != tr[i].Addr {
-			t.Errorf("access %d = %v, want %v", i, a.Addr, tr[i].Addr)
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("after end: err = %v, want EOF", err)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("repeated Next after EOF: %v", err)
-	}
-}
+// errBatchReader fails every read with err.
+type errBatchReader struct{ err error }
 
-func TestCollect(t *testing.T) {
-	tr := mkTrace(1, 2, 3, 4, 5)
-	got, err := Collect(tr.NewReader(), 0)
-	if err != nil || len(got) != 5 {
-		t.Fatalf("Collect all: %v, len %d", err, len(got))
-	}
-	got, err = Collect(tr.NewReader(), 3)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("Collect limited: %v, len %d", err, len(got))
-	}
-}
+func (e errBatchReader) ReadBatch([]Access) (int, error) { return 0, e.err }
 
-type errReader struct{ err error }
-
-func (e errReader) Next() (Access, error) { return Access{}, e.err }
-
+// TestCollectError checks that CollectBatch hands back a stream error
+// together with the accesses read before it.
 func TestCollectError(t *testing.T) {
 	sentinel := errors.New("boom")
-	if _, err := Collect(errReader{sentinel}, 0); !errors.Is(err, sentinel) {
-		t.Errorf("Collect error = %v", err)
+	if _, err := CollectBatch(errBatchReader{sentinel}, 0); !errors.Is(err, sentinel) {
+		t.Errorf("CollectBatch error = %v", err)
+	}
+	r := ConcatBatch(mkTrace(1, 2).NewBatchReader(), errBatchReader{sentinel})
+	got, err := CollectBatch(r, 0)
+	if !errors.Is(err, sentinel) || len(got) != 2 {
+		t.Errorf("CollectBatch after 2 accesses = (%v, %v), want the 2 accesses and the error", got, err)
 	}
 }
 

@@ -76,13 +76,12 @@ func MixedBatchCtx(ctx context.Context, spec Spec, seed uint64, n int, fetchesPe
 	}
 	dataN := n / (fetchesPerData + 1)
 	fetchN := n - dataN
-	m := &mixedReader{
+	return &mixedReader{
 		fetch: trace.NewCursor(InstructionBatchCtx(ctx, seed+1, fetchN)),
 		data:  trace.NewCursor(spec.StreamCtx(ctx, seed, dataN)),
 		fpd:   fetchesPerData,
 		n:     n,
 	}
-	return trace.Batched(m)
 }
 
 // MixedStreamFunc returns a replayable factory for MixedBatch streams.
@@ -108,16 +107,36 @@ func MixedStream(spec Spec, seed uint64, n int, fetchesPerData int) trace.Trace 
 
 // mixedReader interleaves a fetch cursor with a data cursor: up to fpd
 // fetches, then one data access, ending after n accesses or when both
-// inputs are exhausted (whichever comes first).
+// inputs are exhausted (whichever comes first).  A read error ends the
+// current batch and is returned, sticky, by the next ReadBatch.
 type mixedReader struct {
 	fetch, data         *trace.Cursor
 	fpd                 int
 	n, emitted          int
 	k                   int // fetch slots used in the current cycle
 	fetchDone, dataDone bool
+	err                 error
 }
 
-func (m *mixedReader) Next() (trace.Access, error) {
+func (m *mixedReader) ReadBatch(dst []trace.Access) (int, error) {
+	if len(dst) == 0 {
+		return 0, nil
+	}
+	i := 0
+	for i < len(dst) && m.err == nil {
+		dst[i], m.err = m.next()
+		if m.err == nil {
+			i++
+		}
+	}
+	if i == 0 {
+		return 0, m.err
+	}
+	return i, nil
+}
+
+// next yields the interleave's next access, or io.EOF once it is over.
+func (m *mixedReader) next() (trace.Access, error) {
 	for {
 		if m.emitted >= m.n || (m.fetchDone && m.dataDone) {
 			return trace.Access{}, io.EOF
