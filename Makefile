@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race fuzz fuzz-smoke bench bench-grid bench-serve bench-cluster allocs-gate smoke-simd smoke-cluster soak-store ci
+.PHONY: all build vet fmt-check perfbench-check lint lint-fast test race fuzz fuzz-smoke bench bench-grid bench-serve bench-cluster allocs-gate smoke-simd smoke-cluster soak-store ci
 
 # Required cold/warm ratio for the result store: a warm in-memory lookup
 # must be at least this many times faster than a cold simulation, or the
@@ -27,6 +27,19 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt over every tracked .go file must print nothing.  testdata/ is
+# skipped: the lint fixtures there are malformed on purpose.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$out"; exit 1; fi
+
+# The benchmark harness is its own module (perfbench/go.mod) over this
+# one, so `go build ./...` here never compiles it.  Vet it and run its
+# two fast self-checks (~1 s), so renaming or deleting an API it uses
+# fails here rather than in a benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -run 'TestSelfTimes|TestMetricNames' ./...
 
 # The repository's own invariant analyzers (see internal/lint and
 # DESIGN.md § Enforced invariants): determinism, context flow, hot-path
@@ -159,17 +172,19 @@ allocs-gate:
 			-maxallocs BenchmarkGridFanout=$(GRID_ALLOC_BUDGET) \
 			-minmetric BenchmarkGridFanout:accesses/s=$(GRID_MIN_ACCESS_RATE)
 
-# The gate a PR must pass: compile everything, vet, run the invariant
-# analyzers, run the full test suite (including the goroutine-leak-checked
-# cancellation and fault injection tests) under the race detector, smoke
-# the corruption fuzzers and the simd service end-to-end, run the
-# kill-a-node cluster soak, run the million-cell store lifecycle soak,
-# check the fan-out engine's allocation budget, check the result store's
-# cold/warm speedup, and gate the cluster's availability, correctness,
-# and tail latency.
+# The gate a PR must pass: compile everything, vet, check gofmt, vet and
+# self-check the perfbench harness, run the invariant analyzers, run the
+# full test suite (including the goroutine-leak-checked cancellation and
+# fault injection tests) under the race detector, smoke the corruption
+# fuzzers and the simd service end-to-end, run the kill-a-node cluster
+# soak, run the million-cell store lifecycle soak, check the fan-out
+# engine's allocation budget, check the result store's cold/warm speedup,
+# and gate the cluster's availability, correctness, and tail latency.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) fmt-check
+	$(MAKE) perfbench-check
 	$(MAKE) lint
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke

@@ -61,9 +61,9 @@ func assertShardMatchesSerial(t *testing.T, mk func() *Cache, tr trace.Trace, se
 // line's own eviction writeback.
 func TestShardReplayDirectedBoundaries(t *testing.T) {
 	l := addr.MustLayout(1, 32, 32)
-	a := addr.Addr(0)           // set 0, block 0
-	b := addr.Addr(32 * 32)     // set 0, block 32 (conflicts with a)
-	x := addr.Addr(32)          // set 1
+	a := addr.Addr(0)       // set 0, block 0
+	b := addr.Addr(32 * 32) // set 0, block 32 (conflicts with a)
+	x := addr.Addr(32)      // set 1
 	w := func(ad addr.Addr) trace.Access { return trace.Access{Addr: ad, Kind: trace.Write} }
 	r := func(ad addr.Addr) trace.Access { return trace.Access{Addr: ad, Kind: trace.Read} }
 

@@ -12,9 +12,9 @@ import (
 
 // TraceSource supplies compiled traces to the engines (Config.Traces).
 // Implementations compile each benchmark's canonical access stream once
-// and serve the decoded artifact on every later request; the in-memory
-// MemTraceCache below and internal/resultstore's persistent trace tier
-// both implement it.
+// and serve the decoded artifact on every later request.  MemTraceCache
+// below implements it; internal/resultstore's persistent trace tier is a
+// MemTraceCache whose Compile fill reads and writes on-disk artifacts.
 type TraceSource interface {
 	// CompiledTrace returns the compiled trace replaying exactly the
 	// stream bench.Stream(cfg.Seed, cfg.TraceLength) would produce.
@@ -38,10 +38,12 @@ func traceKey(cfg Config, bench workload.Spec) string {
 // requests for the same key collapse onto one compilation.  It is safe
 // for concurrent use.
 type MemTraceCache struct {
-	// Segment overrides the compiled segment length
-	// (0 = trace.DefaultSegment).  Set it before first use; tests use
-	// short segments to exercise sharded replay on short traces.
-	Segment int
+	// Compile fills a miss; it runs once per key, however many requests
+	// wait on it (nil = bench.Compile at trace.DefaultSegment).  Set it
+	// before first use.  A persistent tier fills from its own artifacts
+	// here; tests compile short segments to exercise sharded replay on
+	// short traces.
+	Compile func(ctx context.Context, cfg Config, bench workload.Spec) (*trace.Compiled, error)
 
 	max int
 
@@ -84,7 +86,8 @@ func NewMemTraceCache(maxBytes int) *MemTraceCache {
 }
 
 // Stats reports (compilations, cache hits) so far — the observability
-// hook the benchmarks and tests assert against.
+// hook the benchmarks and tests assert against.  A compilation is one
+// successful Compile fill, whatever that fill does.
 func (m *MemTraceCache) Stats() (compiles, hits uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -127,7 +130,11 @@ func (m *MemTraceCache) CompiledTrace(ctx context.Context, cfg Config, bench wor
 		m.inflight[key] = fl
 		m.mu.Unlock()
 
-		ct, err := bench.Compile(ctx, cfg.Seed, cfg.TraceLength, m.Segment)
+		compile := m.Compile
+		if compile == nil {
+			compile = compileDefault
+		}
+		ct, err := compile(ctx, cfg, bench)
 		fl.ct, fl.err = ct, err
 
 		m.mu.Lock()
@@ -140,6 +147,11 @@ func (m *MemTraceCache) CompiledTrace(ctx context.Context, cfg Config, bench wor
 		close(fl.done)
 		return ct, err
 	}
+}
+
+// compileDefault is MemTraceCache's fill when Compile is nil.
+func compileDefault(ctx context.Context, cfg Config, bench workload.Spec) (*trace.Compiled, error) {
+	return bench.Compile(ctx, cfg.Seed, cfg.TraceLength, 0)
 }
 
 // insert adds an artifact and evicts from the cold end until the budget

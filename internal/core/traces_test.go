@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cacheuniformity/internal/registry"
+	"cacheuniformity/internal/trace"
 	"cacheuniformity/internal/workload"
 )
 
@@ -74,7 +75,9 @@ func TestCompiledReplayMatchesGenerator(t *testing.T) {
 	// makes even these short traces multi-segment.
 	for _, par := range []int{1, 16} {
 		tc := NewMemTraceCache(0)
-		tc.Segment = 1024
+		tc.Compile = func(ctx context.Context, cfg Config, bench workload.Spec) (*trace.Compiled, error) {
+			return bench.Compile(ctx, cfg.Seed, cfg.TraceLength, 1024)
+		}
 		cfg := cfg
 		cfg.Parallelism = par
 		cfg.Traces = tc

@@ -25,11 +25,10 @@ func (s *Store) DeleteCell(key string) (bool, error) {
 	removed := s.memRemove(key)
 	if s.dir != "" {
 		mu := s.diskLock(key)
-		if s.unlinkManifest(s.manifestPath(key)) {
-			removed = true
-		}
-		if s.unlinkManifest(s.legacyManifestPath(key)) {
-			removed = true
+		for _, path := range []string{s.manifestPath(key), s.legacyManifestPath(key)} {
+			if s.unlink(path, &s.ledger.manifests) >= 0 {
+				removed = true
+			}
 		}
 		mu.Unlock()
 	}
@@ -37,22 +36,6 @@ func (s *Store) DeleteCell(key string) (bool, error) {
 		s.adminDeletes.Add(1)
 	}
 	return removed, nil
-}
-
-// unlinkManifest removes one manifest file and settles the ledger
-// (both manifest forms share ledger.manifests).  Callers hold the key
-// stripe.
-func (s *Store) unlinkManifest(path string) bool {
-	size := fileSize(path)
-	if size < 0 {
-		return false
-	}
-	if err := osRemove(path); err != nil {
-		return false
-	}
-	s.ledger.bytes.Add(-size)
-	s.ledger.manifests.Add(-1)
-	return true
 }
 
 // memRemove drops a key from the in-memory tier.

@@ -23,22 +23,14 @@ const (
 	OriginInflight Origin = "inflight"
 )
 
-// lookup probes memory then disk.  Disk hits are promoted into the
-// memory tier so a warm key pays the manifest read once per eviction.
+// lookup is Peek for a request this node serves: absence from both
+// tiers counts as a miss.
 func (s *Store) lookup(key string) (core.Result, Origin, bool) {
-	if res, ok := s.memGet(key); ok {
-		s.memHits.Add(1)
-		return res, OriginMemory, true
+	res, origin, ok := s.Peek(key)
+	if !ok {
+		s.misses.Add(1)
 	}
-	if s.dir != "" {
-		if res, ok := s.loadManifest(key); ok {
-			s.diskHits.Add(1)
-			s.memAdd(key, res)
-			return res, OriginDisk, true
-		}
-	}
-	s.misses.Add(1)
-	return core.Result{}, "", false
+	return res, origin, ok
 }
 
 // Cell returns the result of one (config, scheme, benchmark) cell,

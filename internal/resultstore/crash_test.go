@@ -14,7 +14,10 @@ import (
 // unlink and the ledger update" or "the scrub died halfway" real, then
 // assert the restart invariant: a fresh Open converges to a consistent
 // store — garbage counted and removed, ledger matching disk — never an
-// error.  Tests that swap osRemove must not run in parallel.
+// error.  checkInvariants runs after every operation except on a store
+// left in an injected crash state: that state is exactly what the
+// invariants exclude until the next Open.  Tests that swap osRemove
+// must not run in parallel.
 
 // swapRemove installs fn as the store's unlink and restores os.Remove on
 // cleanup.
@@ -33,11 +36,13 @@ func TestCrashBetweenUnlinkAndLedgerConverges(t *testing.T) {
 	dir := t.TempDir()
 	cfg := tinyConfig()
 	s1 := openTemp(t, Options{Dir: dir, QuotaBytes: 1 << 20, MemoryEntries: -1})
+	checkInvariants(t, s1)
 	const n = 12
 	for i := 0; i < n; i++ {
 		if err := s1.Fill(synthKey(i), cfg, synthResult(i)); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, s1)
 	}
 	// The "crash": five unlinks land on disk, no ledger settle.
 	for i := 0; i < 5; i++ {
@@ -59,6 +64,7 @@ func TestCrashBetweenUnlinkAndLedgerConverges(t *testing.T) {
 
 	// Restart: the scrub walk is the source of truth.
 	s2 := openTemp(t, Options{Dir: dir, QuotaBytes: 1 << 20, MemoryEntries: -1})
+	checkInvariants(t, s2)
 	st := s2.Stats()
 	if st.Manifests != n-5 {
 		t.Errorf("rebuilt ledger counts %d manifests, want %d", st.Manifests, n-5)
@@ -72,6 +78,7 @@ func TestCrashBetweenUnlinkAndLedgerConverges(t *testing.T) {
 			t.Fatalf("surviving cell %d: ok=%t AMAT=%g", i, ok, res.AMAT)
 		}
 	}
+	checkInvariants(t, s2)
 }
 
 // TestCrashMidScrubConverges: the scrub dies after its first removal,
@@ -86,6 +93,7 @@ func TestCrashMidScrubConverges(t *testing.T) {
 		if err := seedStore.Fill(synthKey(i), cfg, synthResult(i)); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, seedStore)
 	}
 	// Garbage a crashed writer could leave: temp files at top level and
 	// in a shard, plus an artifact copied into the wrong shard.
@@ -134,6 +142,7 @@ func TestCrashMidScrubConverges(t *testing.T) {
 	// Second restart with a healthy unlink: the sweep completes.
 	swapRemove(t, os.Remove)
 	s2 := openTemp(t, Options{Dir: dir, MemoryEntries: -1})
+	checkInvariants(t, s2)
 	for _, p := range append(garbage, misplaced) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("garbage %s survived the second scrub", p)
@@ -165,6 +174,7 @@ func TestGCUnlinkFailureIsSafe(t *testing.T) {
 		if err := s.Fill(synthKey(filled), cfg, synthResult(filled)); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, s)
 		if s.Counters().GCRuns > 0 {
 			break
 		}
@@ -179,6 +189,7 @@ func TestGCUnlinkFailureIsSafe(t *testing.T) {
 		if err := s.Fill(synthKey(1000+i), cfg, synthResult(1000+i)); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, s)
 	}
 	c := s.Counters()
 	if c.PersistErrors == base.PersistErrors {
@@ -193,7 +204,9 @@ func TestGCUnlinkFailureIsSafe(t *testing.T) {
 	if err := s.Fill(synthKey(2000), cfg, synthResult(2000)); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, s)
 	if res, _, ok := s.Peek(synthKey(2000)); !ok || res.AMAT != 2000 {
 		t.Fatalf("post-recovery fill unreadable: ok=%t AMAT=%g", ok, res.AMAT)
 	}
+	checkInvariants(t, s)
 }

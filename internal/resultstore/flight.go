@@ -15,17 +15,20 @@ type flight struct {
 // join returns the flight for key, creating it when absent.  leader is
 // true for the caller that must compute the cell and finish the flight;
 // every other caller gets leader == false and must wait on fl.done.
-// Flights live in per-shard maps, so joins for different keys contend
-// only within their stripe.
+// Flights live in the lock table's per-stripe maps, so joins for
+// different keys contend only within their stripe.
 func (s *Store) join(key string) (fl *flight, leader bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if existing, ok := sh.flights[key]; ok {
+	st := s.stripeFor(key)
+	st.flightMu.Lock()
+	defer st.flightMu.Unlock()
+	if existing, ok := st.flights[key]; ok {
 		return existing, false
 	}
+	if st.flights == nil {
+		st.flights = make(map[string]*flight)
+	}
 	fl = &flight{done: make(chan struct{})}
-	sh.flights[key] = fl
+	st.flights[key] = fl
 	return fl, true
 }
 
@@ -44,10 +47,10 @@ func (s *Store) finish(key string, fl *flight, cfg core.Config, res core.Result)
 	if res.Err == nil {
 		s.memAdd(key, res)
 	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	delete(sh.flights, key)
-	sh.mu.Unlock()
+	st := s.stripeFor(key)
+	st.flightMu.Lock()
+	delete(st.flights, key)
+	st.flightMu.Unlock()
 
 	if res.Err == nil {
 		s.stores.Add(1)

@@ -2,41 +2,56 @@ package resultstore
 
 import "sync"
 
-// Per-key disk locks.
+// The store's one lock table.
 //
-// The flight shards (flight.go) stripe the *computation* keyspace; this
-// file stripes the *disk* keyspace.  Every mutation of a key's on-disk
-// artifacts — manifest publish, legacy migration, AccessedAt touch,
-// admin delete, GC eviction — runs under that key's stripe, so the size
-// ledger never double-counts a replace/remove race and a rename can
-// never interleave with an unlink of the same cell.  Reads stay
-// lockless: a reader racing a rename sees the old or the new file (the
-// rename is atomic), and one racing an unlink sees a miss — both are
-// correct outcomes, so the hot path pays nothing.
+// Every per-key lock lives in one striped table, indexed by one hash of
+// the key.  An entry carries two independent locks for the keys that
+// hash to it:
 //
-// diskStripes is deliberately larger than flightShards: disk mutations
-// hold their stripe across real file I/O, so collisions are paid in
-// milliseconds rather than nanoseconds.
-const diskStripes = 64
+//   - flightMu guards the singleflight map (flight.go): joins and
+//     finishes for keys in different stripes never touch the same lock.
+//   - disk serialises every mutation of a key's on-disk artifacts —
+//     manifest publish, legacy migration, AccessedAt touch, admin
+//     delete, GC eviction — so the size ledger never double-counts a
+//     replace/remove race and a rename can never interleave with an
+//     unlink of the same cell.  Reads stay lockless: a reader racing a
+//     rename sees the old or the new file (the rename is atomic), and
+//     one racing an unlink sees a miss — both correct outcomes, so the
+//     hot path pays nothing.
+//
+// Lock order: gcMu → disk.  A quota reservation may run GC, which takes
+// gcMu and then disk stripes, so a writer reserves before it takes its
+// own stripe and never holds a disk stripe while waiting for gcMu.
+// flightMu, memMu and the trace cache's mutex are leaf locks: nothing
+// else is acquired under them and they are never held across I/O.
+//
+// The table is sized for the disk locks, which are held across real
+// file I/O, so collisions are paid in milliseconds rather than
+// nanoseconds.  A power of two so the hash maps to a stripe with a mask.
+const lockStripes = 64
 
-// diskLocks is the stripe array.  Stripes are plain mutexes; contention
-// is observable through the store's DiskLockWaits counter.
-type diskLocks struct {
-	mu [diskStripes]sync.Mutex
+// keyStripe is one entry of the lock table.  Its flight map is
+// allocated by the first join, so opening a store costs no map per
+// stripe.
+type keyStripe struct {
+	flightMu sync.Mutex
+	flights  map[string]*flight
+
+	disk sync.Mutex
 }
 
-// stripeHash mixes a key (hex SHA-256 digests in practice) with FNV-1a,
-// mirroring Store.shardFor.
-func stripeHash(key string) uint32 {
+// stripeFor maps a key onto its lock-table entry (FNV-1a; the keys are
+// hex SHA-256 digests, so any mixing hash spreads them).
+func (s *Store) stripeFor(key string) *keyStripe {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return h
+	return &s.locks[h&(lockStripes-1)]
 }
 
-// diskLock acquires the stripe guarding key's on-disk artifacts and
+// diskLock acquires the disk lock guarding key's on-disk artifacts and
 // returns it locked for the caller to unlock — the one lock-returning
 // helper in the repo, so every disk mutation funnels contention through
 // the same counter.  An immediate TryLock failure is counted before
@@ -45,7 +60,7 @@ func stripeHash(key string) uint32 {
 //
 //lint:allow lockcheck intentionally returns the stripe locked; every caller unlocks via mu := s.diskLock(k); defer mu.Unlock()
 func (s *Store) diskLock(key string) *sync.Mutex {
-	mu := &s.disk.mu[stripeHash(key)&(diskStripes-1)]
+	mu := &s.stripeFor(key).disk
 	if mu.TryLock() {
 		return mu
 	}

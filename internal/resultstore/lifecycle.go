@@ -59,6 +59,14 @@ type ledger struct {
 	traces    atomic.Int64
 }
 
+// objects returns the object count of one artifact tier.
+func (l *ledger) objects(trace bool) *atomic.Int64 {
+	if trace {
+		return &l.traces
+	}
+	return &l.manifests
+}
+
 // reserve charges size bytes against the quota, evicting cold artifacts
 // when the write does not fit.  An error means the write must not
 // proceed: the artifact alone exceeds the quota, or eviction could not
@@ -150,16 +158,17 @@ func (s *Store) GC(target int64) GCReport {
 type artifact struct {
 	path  string
 	key   string
-	size  int64
 	mtime int64 // unix nanoseconds; the LRU order
 	trace bool
 }
 
 // evictTo scans both artifact tiers and removes the least recently
 // accessed files until the ledger reaches target.  Callers hold gcMu
-// (one scan at a time); per-key stripes serialise each removal against
-// writers of the same cell.  Holds no tracked lock itself, so the file
-// I/O below cannot stall an unrelated critical section.
+// (one scan at a time); per-key disk locks serialise each removal
+// against writers of the same cell, and the unlink re-stats inside the
+// lock so a file replaced since the scan is accounted at its current
+// size.  Holds no tracked lock itself, so the file I/O below cannot
+// stall an unrelated critical section.
 func (s *Store) evictTo(target int64) (evicted int, reclaimed int64) {
 	if s.dir == "" {
 		return 0, 0
@@ -175,7 +184,10 @@ func (s *Store) evictTo(target int64) (evicted int, reclaimed int64) {
 		if s.ledger.bytes.Load() <= target {
 			break
 		}
-		if n := s.removeArtifact(a); n > 0 {
+		mu := s.diskLock(a.key)
+		n := s.unlink(a.path, s.ledger.objects(a.trace))
+		mu.Unlock()
+		if n > 0 {
 			evicted++
 			reclaimed += n
 		}
@@ -187,94 +199,77 @@ func (s *Store) evictTo(target int64) (evicted int, reclaimed int64) {
 	return evicted, reclaimed
 }
 
-// removeArtifact unlinks one artifact under its key stripe, re-statting
-// inside the lock so a file replaced since the scan is accounted at its
-// current size.  Returns the bytes reclaimed (0 if the file vanished or
-// the unlink failed — a failed unlink leaves the ledger charged, which
-// errs toward under-use, and the next scrub reconciles it).
-func (s *Store) removeArtifact(a artifact) int64 {
-	mu := s.diskLock(a.key)
-	defer mu.Unlock()
-	st, err := os.Stat(a.path)
-	if err != nil {
-		return 0
-	}
-	size := st.Size()
-	if err := osRemove(a.path); err != nil {
-		return 0
-	}
-	s.ledger.bytes.Add(-size)
-	if a.trace {
-		s.ledger.traces.Add(-1)
-	} else {
-		s.ledger.manifests.Add(-1)
-	}
-	return size
-}
-
-// scanArtifacts walks the store layout and returns every recognised
-// artifact: compressed and legacy manifests under the 256 shard
-// directories, compiled traces under traces/.  Unrecognised files are
-// the scrub's business, not the GC's.
+// scanArtifacts returns every recognised artifact in a shard directory:
+// compressed and legacy manifests under the 256 manifest shards,
+// compiled traces under traces/.  Unrecognised files are the scrub's
+// business, not the GC's.
 func (s *Store) scanArtifacts() []artifact {
 	var out []artifact
-	root, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	for _, e := range root {
-		if !e.IsDir() {
-			continue
+	s.walk(func(dir, shard string, trace bool, e os.DirEntry) {
+		if !isShardName(shard) {
+			return
 		}
-		if e.Name() == traceDirName {
-			s.scanTier(filepath.Join(s.dir, e.Name()), true, &out)
-			continue
+		key, isTrace, ok := artifactIdentity(e.Name(), shard)
+		if !ok || isTrace != trace {
+			return
 		}
-		if isShardName(e.Name()) {
-			s.scanShard(filepath.Join(s.dir, e.Name()), e.Name(), false, &out)
+		info, err := e.Info()
+		if err != nil {
+			return
 		}
-	}
+		out = append(out, artifact{
+			path:  filepath.Join(dir, e.Name()),
+			key:   key,
+			mtime: info.ModTime().UnixNano(),
+			trace: trace,
+		})
+	})
 	return out
 }
 
-// scanTier walks the shard directories of the trace tier.
-func (s *Store) scanTier(dir string, trace bool, out *[]artifact) {
-	shards, err := os.ReadDir(dir)
+// walk is the store's one directory walker, shared by the scrub and
+// disk GC; each caller makes its own per-file decision.  It calls visit
+// for every file at the store root (shard == ""), in every manifest
+// shard directory <dir>/<xx>/, and in every directory under traces/
+// (trace == true) — shard-named or not, so the scrub can sweep store
+// files a non-shard directory should not hold.  Entries arrive in
+// directory order; subdirectories of shards are not entered.
+func (s *Store) walk(visit func(dir, shard string, trace bool, e os.DirEntry)) {
+	root, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
-	for _, e := range shards {
-		if e.IsDir() && isShardName(e.Name()) {
-			s.scanShard(filepath.Join(dir, e.Name()), e.Name(), trace, out)
+	for _, e := range root {
+		switch name := e.Name(); {
+		case !e.IsDir():
+			visit(s.dir, "", false, e)
+		case name == traceDirName:
+			tdir := filepath.Join(s.dir, name)
+			shards, err := os.ReadDir(tdir)
+			if err != nil {
+				continue
+			}
+			for _, sh := range shards {
+				if sh.IsDir() {
+					walkShard(filepath.Join(tdir, sh.Name()), sh.Name(), true, visit)
+				}
+			}
+		case isShardName(name):
+			walkShard(filepath.Join(s.dir, name), name, false, visit)
 		}
 	}
 }
 
-// scanShard collects the recognised artifacts of one shard directory.
-func (s *Store) scanShard(dir, shard string, trace bool, out *[]artifact) {
+// walkShard calls visit for each file of one shard directory.
+func walkShard(dir, shard string, trace bool, visit func(dir, shard string, trace bool, e os.DirEntry)) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
+		if !e.IsDir() {
+			visit(dir, shard, trace, e)
 		}
-		key, isTrace, ok := artifactIdentity(e.Name(), shard)
-		if !ok || isTrace != trace {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		*out = append(*out, artifact{
-			path:  filepath.Join(dir, e.Name()),
-			key:   key,
-			size:  info.Size(),
-			mtime: info.ModTime().UnixNano(),
-			trace: trace,
-		})
 	}
 }
 

@@ -79,6 +79,7 @@ func TestQuotaNeverExceeded(t *testing.T) {
 		if used := diskUsage(t, dir); used > quota {
 			t.Fatalf("after fill %d: disk usage %d exceeds quota %d", i, used, quota)
 		}
+		checkInvariants(t, s)
 	}
 	c := s.Counters()
 	if c.GCRuns == 0 {
@@ -103,6 +104,7 @@ func TestQuotaNeverExceeded(t *testing.T) {
 	if !ok {
 		t.Fatal("newest fill evicted immediately")
 	}
+	checkInvariants(t, s)
 	if res.AMAT != float64(n-1) {
 		t.Fatalf("read-back AMAT = %g, want %d — a wrong answer, not a miss", res.AMAT, n-1)
 	}
@@ -113,6 +115,7 @@ func TestQuotaNeverExceeded(t *testing.T) {
 			evicted = true
 		}
 	}
+	checkInvariants(t, s)
 	if !evicted {
 		t.Error("no cell evicted despite 120 fills into a 16 KiB quota")
 	}
@@ -264,14 +267,17 @@ func TestDeleteCell(t *testing.T) {
 	if err := s.Fill(key, tinyConfig(), synthResult(0)); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, s)
 	if _, _, ok := s.Peek(key); !ok {
 		t.Fatal("fill not readable")
 	}
+	checkInvariants(t, s)
 
 	removed, err := s.DeleteCell(key)
 	if err != nil || !removed {
 		t.Fatalf("DeleteCell = (%t, %v), want (true, nil)", removed, err)
 	}
+	checkInvariants(t, s)
 	if _, _, ok := s.Peek(key); ok {
 		t.Fatal("cell readable after delete")
 	}
@@ -286,10 +292,12 @@ func TestDeleteCell(t *testing.T) {
 	if err != nil || removed {
 		t.Fatalf("second DeleteCell = (%t, %v), want (false, nil)", removed, err)
 	}
+	checkInvariants(t, s)
 	for _, bad := range []string{"", "abc", "../../etc/passwd", synthKey(0)[:63] + "Z"} {
 		if _, err := s.DeleteCell(bad); err == nil {
 			t.Errorf("DeleteCell(%q) accepted a malformed key", bad)
 		}
+		checkInvariants(t, s)
 	}
 }
 

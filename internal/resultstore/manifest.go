@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"cacheuniformity/internal/core"
 	"cacheuniformity/internal/report"
@@ -110,19 +111,30 @@ func deflate(data []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// persist writes the cell's compressed manifest atomically under its
-// key stripe: ledger reservation first (which may trigger GC), then
-// temp file + rename in the final directory.  A crash mid-write leaves
-// a *.tmp-* orphan for the next scrub and never a torn manifest under
-// the final name; readers that race the rename see either nothing or
-// the complete file.  Any legacy uncompressed manifest for the key is
-// retired by the same publish.
+// persist publishes the cell's compressed manifest and retires any
+// legacy uncompressed manifest for the key in the same publish.
 func (s *Store) persist(key string, cfg core.Config, res core.Result) error {
 	data, err := encodeManifest(key, s.version, cfg, res)
 	if err != nil {
 		return err
 	}
-	zdata, err := deflate(data)
+	return s.publish(key, s.manifestPath(key), data, &s.ledger.manifests, s.legacyManifestPath(key))
+}
+
+// publish is the one write path for on-disk artifacts, manifests and
+// compiled traces alike.  The payload is compressed and its bytes
+// reserved against the quota first — reserving may run GC, so it happens
+// before the key's disk lock is taken (lock order gcMu → disk).  Then,
+// under that lock, the artifact is written to path by temp file +
+// rename and the ledger settled: a replaced file's old size is refunded,
+// a new file adds one to objects, and a failed write releases the
+// reservation.  A crash mid-write leaves a *.tmp-* orphan for the next
+// scrub and never a torn artifact under the final name; readers that
+// race the rename see either nothing or the complete file.  After a
+// successful write, retire (when set) is unlinked under the same lock:
+// a manifest publish retires the key's legacy uncompressed form.
+func (s *Store) publish(key, path string, payload []byte, objects *atomic.Int64, retire string) error {
+	zdata, err := deflate(payload)
 	if err != nil {
 		return err
 	}
@@ -132,35 +144,39 @@ func (s *Store) persist(key string, cfg core.Config, res core.Result) error {
 
 	mu := s.diskLock(key)
 	defer mu.Unlock()
-	final := s.manifestPath(key)
-	oldSize := fileSize(final)
-	replacing := oldSize >= 0
-	if err := writeFileAtomic(final, zdata); err != nil {
+	oldSize := fileSize(path)
+	if err := writeFileAtomic(path, zdata); err != nil {
 		s.release(int64(len(zdata)))
 		return err
 	}
-	if replacing {
+	if oldSize >= 0 {
 		s.ledger.bytes.Add(-oldSize)
 	} else {
-		s.ledger.manifests.Add(1)
+		objects.Add(1)
 	}
-	s.retireLegacy(key)
+	if retire != "" {
+		s.unlink(retire, objects)
+	}
 	return nil
 }
 
-// retireLegacy unlinks the key's uncompressed manifest, if any, and
-// settles the ledger.  Callers hold the key stripe.
-func (s *Store) retireLegacy(key string) {
-	legacy := s.legacyManifestPath(key)
-	size := fileSize(legacy)
+// unlink is the one remove path for on-disk artifacts: it removes path
+// and settles the ledger by the file's size and one object of its tier.
+// It returns the bytes freed, or -1 when the file was absent or the
+// unlink failed — a failed unlink leaves the ledger charged, which errs
+// toward under-use, and the next Open's scrub reconciles it.  Callers
+// hold the key's disk lock.
+func (s *Store) unlink(path string, objects *atomic.Int64) int64 {
+	size := fileSize(path)
 	if size < 0 {
-		return
+		return -1
 	}
-	if err := osRemove(legacy); err != nil {
-		return
+	if err := osRemove(path); err != nil {
+		return -1
 	}
 	s.ledger.bytes.Add(-size)
-	s.ledger.manifests.Add(-1)
+	objects.Add(-1)
+	return size
 }
 
 // fileSize returns a file's size, or -1 when it does not exist (or
@@ -300,29 +316,12 @@ func (s *Store) loadManifest(key string) (core.Result, bool) {
 // seed-era store converges to the compressed format one read at a time,
 // with both files present only in the crash window between publish and
 // unlink (where the scrub and the reader both prefer the compressed
-// copy).  Failures leave the legacy file serving reads; the counterless
-// degradation is deliberate, the next read retries.
+// copy).  A concurrent publish of the same cell wrote an equivalent
+// manifest, so replacing it is harmless.  Failures leave the legacy file
+// serving reads; the counterless degradation is deliberate, the next
+// read retries.
 func (s *Store) migrateLegacy(key string, data []byte) {
-	zdata, err := deflate(data)
-	if err != nil {
-		return
+	if s.publish(key, s.manifestPath(key), data, &s.ledger.manifests, s.legacyManifestPath(key)) == nil {
+		s.migrations.Add(1)
 	}
-	if err := s.reserve(int64(len(zdata))); err != nil {
-		return
-	}
-	mu := s.diskLock(key)
-	defer mu.Unlock()
-	final := s.manifestPath(key)
-	if fileSize(final) >= 0 {
-		// A concurrent writer already published a compressed manifest.
-		s.release(int64(len(zdata)))
-		return
-	}
-	if err := writeFileAtomic(final, zdata); err != nil {
-		s.release(int64(len(zdata)))
-		return
-	}
-	s.ledger.manifests.Add(1)
-	s.retireLegacy(key)
-	s.migrations.Add(1)
 }

@@ -55,9 +55,6 @@ type Options struct {
 	// it leads, so benchmark streams are compiled once (persisted under
 	// Dir/traces when Dir is set) and replayed from decoded batches.
 	CompileTraces bool
-	// TraceMemoryBytes bounds the decoded in-memory trace tier
-	// (0 = DefaultTraceMemoryBytes).  Ignored unless CompileTraces.
-	TraceMemoryBytes int
 	// QuotaBytes bounds the on-disk tier: manifests and compiled-trace
 	// artifacts share the budget, enforced by LRU-by-AccessedAt disk GC.
 	// 0 or negative means unbounded (the seed behaviour).
@@ -71,17 +68,6 @@ type Options struct {
 	// remove the unreadable ones, instead of only sweeping temp files,
 	// orphans, and empty artifacts.
 	DeepScrub bool
-}
-
-// flightShards stripes the singleflight keyspace: joins and finishes
-// for keys in different stripes never touch the same lock.  A power of
-// two so the hash maps to a stripe with a mask.
-const flightShards = 16
-
-// flightShard is one stripe of the singleflight map, with its own lock.
-type flightShard struct {
-	mu      sync.Mutex
-	flights map[string]*flight
 }
 
 // Store is the two-tier content-addressed result cache.  All methods are
@@ -99,16 +85,15 @@ type Store struct {
 	memMu sync.Mutex
 	mem   *memLRU
 
-	// shards stripe the in-flight computations by key hash.
-	shards [flightShards]flightShard
+	// locks is the per-key lock table (keylocks.go): each stripe holds
+	// the in-flight computations of its keys and the disk lock
+	// serialising their on-disk mutations.
+	locks [lockStripes]keyStripe
 
-	// traces is the compiled-trace artifact tier; nil unless
-	// Options.CompileTraces was set.
-	traces *traceTier
-
-	// disk stripes the per-key locks serialising on-disk mutations
-	// (publish, migrate, touch, evict, delete) of one cell's artifacts.
-	disk diskLocks
+	// traces is the compiled-trace artifact tier: the decoded in-memory
+	// cache, filled from disk artifacts or by compiling (traces.go).  Nil
+	// unless Options.CompileTraces was set.
+	traces *core.MemTraceCache
 
 	// Lifecycle configuration (lifecycle.go): quota over both artifact
 	// tiers, touch throttle, and the deep-scrub switch.
@@ -118,7 +103,7 @@ type Store struct {
 
 	// gcMu serialises disk GC scans; reservations that need room queue
 	// here instead of scanning concurrently.  Ordering: gcMu may be held
-	// while taking a disk stripe, never the reverse.
+	// while taking a disk lock, never the reverse (keylocks.go).
 	gcMu sync.Mutex
 
 	// ledger is the byte/object accounting of the on-disk tier, rebuilt
@@ -135,7 +120,6 @@ type Store struct {
 	persistErrors atomic.Uint64
 	corrupt       atomic.Uint64
 	traceCompiles atomic.Uint64
-	traceMemHits  atomic.Uint64
 	traceDiskHits atomic.Uint64
 	peerFills     atomic.Uint64
 	gcRuns        atomic.Uint64
@@ -172,30 +156,22 @@ func Open(opts Options) (*Store, error) {
 		touchEvery: opts.TouchInterval,
 		deepScrub:  opts.DeepScrub,
 	}
-	for i := range s.shards {
-		s.shards[i].flights = make(map[string]*flight)
-	}
 	if opts.MemoryEntries > 0 {
 		s.mem = newMemLRU(opts.MemoryEntries)
 	}
 	if opts.CompileTraces {
-		s.traces = newTraceTier(opts.TraceMemoryBytes)
+		s.traces = core.NewMemTraceCache(0)
+		s.traces.Compile = s.fillTrace
 	}
 	if s.dir != "" {
-		s.Scrub()
+		// No request can race the startup scrub, so its walk is the
+		// ledger: the directory is the single source of truth.
+		rep := s.Scrub()
+		s.ledger.bytes.Store(rep.BytesUsed)
+		s.ledger.manifests.Store(rep.Manifests)
+		s.ledger.traces.Store(rep.TraceArtifacts)
 	}
 	return s, nil
-}
-
-// shardFor maps a cell key onto its singleflight stripe (FNV-1a; the
-// keys are hex SHA-256 digests, so any mixing hash spreads them).
-func (s *Store) shardFor(key string) *flightShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &s.shards[h&(flightShards-1)]
 }
 
 // memGet probes the in-memory tier under its lock.
@@ -236,8 +212,10 @@ type Counters struct {
 	DiskHits   uint64 `json:"disk_hits"`
 	// Misses counts lookups that fell through both tiers.
 	Misses uint64 `json:"misses"`
-	// InflightWaits counts requests collapsed onto another request's
-	// in-progress computation by the singleflight layer.
+	// InflightWaits counts cell requests collapsed onto another
+	// request's in-progress computation by the singleflight layer.
+	// Waits on a trace compilation are not cell waits and are not
+	// counted.
 	InflightWaits uint64 `json:"inflight_waits"`
 	// Evictions counts entries dropped from the in-memory LRU.
 	Evictions uint64 `json:"evictions"`
@@ -283,6 +261,10 @@ type Counters struct {
 
 // Counters returns a snapshot of the store's counters.
 func (s *Store) Counters() Counters {
+	var traceMemHits uint64
+	if s.traces != nil {
+		_, traceMemHits = s.traces.Stats()
+	}
 	return Counters{
 		MemoryHits:       s.memHits.Load(),
 		DiskHits:         s.diskHits.Load(),
@@ -293,7 +275,7 @@ func (s *Store) Counters() Counters {
 		PersistErrors:    s.persistErrors.Load(),
 		CorruptManifests: s.corrupt.Load(),
 		TraceCompiles:    s.traceCompiles.Load(),
-		TraceMemoryHits:  s.traceMemHits.Load(),
+		TraceMemoryHits:  traceMemHits,
 		TraceDiskHits:    s.traceDiskHits.Load(),
 		PeerFills:        s.peerFills.Load(),
 		GCRuns:           s.gcRuns.Load(),

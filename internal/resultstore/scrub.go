@@ -44,97 +44,70 @@ type ScrubReport struct {
 // tmpPrefix matches the writers' os.CreateTemp pattern.
 const tmpPrefix = ".tmp-"
 
-// Scrub re-walks the store directory, removes garbage, and resets the
-// ledger to the surviving artifacts.  Open runs it automatically;
-// calling it again on a live store is safe (concurrent writers may make
-// the rebuilt ledger immediately stale by a few in-flight artifacts,
-// which the reservation accounting tolerates: it only ever errs toward
-// over-counting... a live re-scrub can transiently under-count, so the
-// admin surface exposes GC, not Scrub).  Remove failures are skipped:
-// the artifact stays, the ledger counts it, and the next scrub retries.
+// Scrub re-walks the store directory and removes garbage, reporting
+// what survives.  Open runs it before serving and rebuilds the ledger
+// from the report.  Calling it again on a live store is safe and leaves
+// the ledger to the incremental accounting: the only files it removes
+// that the ledger counts are corrupt artifacts, and those go through the
+// same unlink-and-settle path as GC.  (Resetting the ledger from a walk
+// that races writers would lose their in-flight reservations.)  Remove
+// failures are skipped: the artifact stays, the ledger counts it, and
+// the next scrub retries.
 func (s *Store) Scrub() ScrubReport {
 	var rep ScrubReport
 	if s.dir == "" {
 		return rep
 	}
-	root, err := os.ReadDir(s.dir)
-	if err != nil {
-		return rep
-	}
-	for _, e := range root {
-		name := e.Name()
-		switch {
-		case !e.IsDir():
-			if strings.HasPrefix(name, tmpPrefix) {
-				s.scrubRemove(filepath.Join(s.dir, name), &rep.TempFilesRemoved)
-			}
-		case name == traceDirName:
-			shards, err := os.ReadDir(filepath.Join(s.dir, name))
-			if err != nil {
-				continue
-			}
-			for _, sh := range shards {
-				if sh.IsDir() {
-					s.scrubShard(filepath.Join(s.dir, name, sh.Name()), sh.Name(), true, &rep)
-				}
-			}
-		case isShardName(name):
-			s.scrubShard(filepath.Join(s.dir, name), name, false, &rep)
-		}
-	}
-	s.ledger.bytes.Store(rep.BytesUsed)
-	s.ledger.manifests.Store(rep.Manifests)
-	s.ledger.traces.Store(rep.TraceArtifacts)
+	s.walk(func(dir, shard string, trace bool, e os.DirEntry) {
+		s.scrubFile(dir, shard, trace, e, &rep)
+	})
 	return rep
 }
 
-// scrubShard classifies every file of one shard directory: temp orphans
-// and misplaced artifacts are removed, recognised artifacts are counted
-// into the report's ledger (after optional deep verification), and
-// anything else — a file the store never wrote — is left untouched.
-func (s *Store) scrubShard(dir, shard string, traceTier bool, rep *ScrubReport) {
-	entries, err := os.ReadDir(dir)
+// scrubFile classifies one file: temp orphans anywhere are removed; in
+// a shard directory, misplaced artifacts are removed, corrupt ones
+// (empty, or failing the optional deep verification) are unlinked and
+// settled, surviving artifacts are counted into the report, and anything
+// else — a file the store never wrote — is left untouched.  At the root
+// only temp files are the scrub's business.
+func (s *Store) scrubFile(dir, shard string, traceTier bool, e os.DirEntry, rep *ScrubReport) {
+	name := e.Name()
+	path := filepath.Join(dir, name)
+	if strings.HasPrefix(name, tmpPrefix) {
+		s.scrubRemove(path, &rep.TempFilesRemoved)
+		return
+	}
+	if shard == "" {
+		return
+	}
+	key, isTrace, ok := artifactIdentity(name, shard)
+	if !ok || isTrace != traceTier {
+		if storeShaped(name) {
+			s.scrubRemove(path, &rep.OrphansRemoved)
+		}
+		return
+	}
+	info, err := e.Info()
 	if err != nil {
 		return
 	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
+	if info.Size() == 0 || s.deepScrub && !s.verifyArtifact(path, key, isTrace) {
+		s.corrupt.Add(1)
+		mu := s.diskLock(key)
+		freed := s.unlink(path, s.ledger.objects(isTrace))
+		mu.Unlock()
+		if freed >= 0 {
+			rep.CorruptRemoved++
+			s.scrubRepairs.Add(1)
 		}
-		name := e.Name()
-		path := filepath.Join(dir, name)
-		if strings.HasPrefix(name, tmpPrefix) {
-			s.scrubRemove(path, &rep.TempFilesRemoved)
-			continue
-		}
-		key, isTrace, ok := artifactIdentity(name, shard)
-		if !ok || isTrace != traceTier {
-			if storeShaped(name) {
-				s.scrubRemove(path, &rep.OrphansRemoved)
-			}
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		if info.Size() == 0 {
-			s.corrupt.Add(1)
-			s.scrubRemove(path, &rep.CorruptRemoved)
-			continue
-		}
-		if s.deepScrub && !s.verifyArtifact(path, key, isTrace) {
-			s.corrupt.Add(1)
-			s.scrubRemove(path, &rep.CorruptRemoved)
-			continue
-		}
-		if isTrace {
-			rep.TraceArtifacts++
-		} else {
-			rep.Manifests++
-		}
-		rep.BytesUsed += info.Size()
+		return
 	}
+	if isTrace {
+		rep.TraceArtifacts++
+	} else {
+		rep.Manifests++
+	}
+	rep.BytesUsed += info.Size()
 }
 
 // storeShaped reports whether a filename uses one of the store's

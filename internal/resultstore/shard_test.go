@@ -10,27 +10,27 @@ import (
 	"cacheuniformity/internal/core"
 )
 
-// Shard selection must be a pure function of the key: join and finish
+// Stripe selection must be a pure function of the key: join and finish
 // derive the stripe independently, so disagreement would strand flights.
 func TestShardForStable(t *testing.T) {
 	s, err := Open(Options{MemoryEntries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[*flightShard]bool{}
+	seen := map[*keyStripe]bool{}
 	for i := 0; i < 256; i++ {
 		sum := sha256.Sum256([]byte{byte(i)})
 		key := hex.EncodeToString(sum[:])
-		sh := s.shardFor(key)
-		if sh != s.shardFor(key) {
-			t.Fatalf("shardFor(%q) is not stable", key)
+		st := s.stripeFor(key)
+		if st != s.stripeFor(key) {
+			t.Fatalf("stripeFor(%q) is not stable", key)
 		}
-		seen[sh] = true
+		seen[st] = true
 	}
-	// 256 hashed keys across 16 stripes: a hash that collapsed onto a
+	// 256 hashed keys across 64 stripes: a hash that collapsed onto a
 	// handful of stripes would defeat the striping.
-	if len(seen) < flightShards/2 {
-		t.Fatalf("256 keys landed on only %d of %d shards", len(seen), flightShards)
+	if len(seen) < lockStripes/2 {
+		t.Fatalf("256 keys landed on only %d of %d stripes", len(seen), lockStripes)
 	}
 }
 
@@ -62,12 +62,5 @@ func TestJoinDistinctKeysAllLead(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		s.finish(fmt.Sprintf("key-%03d", i), flights[i], core.Config{}, core.Result{})
 	}
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		n := len(s.shards[i].flights)
-		s.shards[i].mu.Unlock()
-		if n != 0 {
-			t.Fatalf("shard %d retains %d flights after finish", i, n)
-		}
-	}
+	checkInvariants(t, s)
 }

@@ -179,43 +179,22 @@ func TestStoreSoak(t *testing.T) {
 // TestLifecycleConcurrencyChaos hammers every lifecycle entry point at
 // once — fills, reads, admin deletes, on-demand GC, and a live re-scrub
 // — under the race detector and the leak checker.  The invariant is the
-// soak's: any hit is the right payload, and nothing errors.
+// soak's: any hit is the right payload, and nothing errors.  The chaos
+// runs in rounds, and the store's structural invariants are checked at
+// each quiescent point between them.
 func TestLifecycleConcurrencyChaos(t *testing.T) {
 	defer testutil.CheckLeaks(t)
 	dir := t.TempDir()
 	const quota = int64(64 << 10)
 	s := openTemp(t, Options{Dir: dir, QuotaBytes: quota, MemoryEntries: 64, TouchInterval: time.Nanosecond})
-	cfg := tinyConfig()
+	checkInvariants(t, s)
 
-	const n = 400
+	const n, rounds = 400, 4
 	var wrong atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += 4 {
-				res := synthResult(i)
-				if err := s.Fill(synthKey(i), cfg, res); err != nil {
-					t.Errorf("fill: %v", err)
-				}
-				if got, _, ok := s.Peek(synthKey(i / 2)); ok && got.AMAT != float64(i/2) {
-					wrong.Add(1)
-				}
-				switch i % 16 {
-				case 3:
-					if _, err := s.DeleteCell(synthKey(i)); err != nil {
-						t.Errorf("delete: %v", err)
-					}
-				case 7:
-					s.GC(quota / 2)
-				case 11:
-					s.Scrub()
-				}
-			}
-		}(w)
+	for r := 0; r < rounds; r++ {
+		chaosRound(t, s, r*n/rounds, (r+1)*n/rounds, &wrong)
+		checkInvariants(t, s)
 	}
-	wg.Wait()
 
 	if wrong.Load() != 0 {
 		t.Errorf("%d wrong answers under concurrent lifecycle chaos", wrong.Load())
@@ -229,4 +208,39 @@ func TestLifecycleConcurrencyChaos(t *testing.T) {
 	if st2 := s2.Stats(); st2.BytesUsed != st.BytesUsed || st2.Manifests != st.Manifests {
 		t.Errorf("restart ledger %+v != live ledger %+v", st2, st)
 	}
+	checkInvariants(t, s2)
+}
+
+// chaosRound runs four workers over cells [lo, hi): each fills its
+// cells, reads back older ones, and mixes in deletes, GC and a live
+// re-scrub.  It returns once every worker has finished.
+func chaosRound(t *testing.T, s *Store, lo, hi int, wrong *atomic.Int64) {
+	cfg := tinyConfig()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := lo + w; i < hi; i += 4 {
+				res := synthResult(i)
+				if err := s.Fill(synthKey(i), cfg, res); err != nil {
+					t.Errorf("fill: %v", err)
+				}
+				if got, _, ok := s.Peek(synthKey(i / 2)); ok && got.AMAT != float64(i/2) {
+					wrong.Add(1)
+				}
+				switch i % 16 {
+				case 3:
+					if _, err := s.DeleteCell(synthKey(i)); err != nil {
+						t.Errorf("delete: %v", err)
+					}
+				case 7:
+					s.GC(s.quota / 2)
+				case 11:
+					s.Scrub()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

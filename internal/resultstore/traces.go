@@ -2,7 +2,6 @@ package resultstore
 
 import (
 	"compress/flate"
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -10,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"cacheuniformity/internal/core"
 	"cacheuniformity/internal/report"
@@ -24,11 +22,13 @@ import (
 // store can treat the *trace itself* as a content-addressed artifact:
 // compiled once with the segmented codec (trace.Compile), persisted
 // DEFLATE-compressed next to the manifests, and decoded into a bounded
-// in-memory tier for replay.  With Options.CompileTraces set, the store
-// implements core.TraceSource and installs itself on every engine call it
-// leads, so grid evaluations replay decoded batches instead of re-running
-// the generator pump — and the fan-out engine may shard one benchmark's
-// replay across spare workers.
+// in-memory tier for replay — a core.MemTraceCache whose fill reads the
+// disk artifact, or compiles when there is none.  With
+// Options.CompileTraces set, the store implements core.TraceSource and
+// installs itself on every engine call it leads, so grid evaluations
+// replay decoded batches instead of re-running the generator pump — and
+// the fan-out engine may shard one benchmark's replay across spare
+// workers.
 //
 // A trace artifact is keyed by what determines the stream and nothing
 // else: the benchmark's canonical identity (workload.Spec.Key — the
@@ -70,46 +70,6 @@ func TraceKey(cfg core.Config, benchKey, version string) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// traceTier is the in-memory side of the artifact tier: decoded compiled
-// traces in an LRU bounded by payload bytes, with per-key singleflight so
-// concurrent requests compile (or read) once.
-type traceTier struct {
-	max int
-
-	mu       sync.Mutex
-	entries  map[string]*list.Element
-	order    *list.List
-	bytes    int
-	inflight map[string]*traceTierFlight
-}
-
-type traceTierEntry struct {
-	key string
-	ct  *trace.Compiled
-}
-
-type traceTierFlight struct {
-	done chan struct{}
-	ct   *trace.Compiled
-	err  error
-}
-
-// DefaultTraceMemoryBytes bounds the decoded in-memory trace tier when
-// Options leaves it zero (~100 paper-default traces).
-const DefaultTraceMemoryBytes = 64 << 20
-
-func newTraceTier(maxBytes int) *traceTier {
-	if maxBytes <= 0 {
-		maxBytes = DefaultTraceMemoryBytes
-	}
-	return &traceTier{
-		max:      maxBytes,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
-		inflight: make(map[string]*traceTierFlight),
-	}
-}
-
 // Trace artifact filename grammar, shared with the lifecycle scanners.
 const (
 	traceDirName = "traces"
@@ -122,103 +82,51 @@ func (s *Store) tracePath(key string) string {
 	return filepath.Join(s.dir, traceDirName, key[:2], key+traceExt)
 }
 
-// CompiledTrace implements core.TraceSource: memory tier, then disk
-// artifact, then a single compilation (persisted for the next process).
-// Errors follow the engines' fallback contract — the caller reverts to
-// the generator — so this method never degrades a run, only its speed.
+// CompiledTrace implements core.TraceSource: the decoded memory tier,
+// whose fill (fillTrace) reads the disk artifact or compiles once and
+// persists for the next process.  Errors follow the engines' fallback
+// contract — the caller reverts to the generator — so this method never
+// degrades a run, only its speed.
 func (s *Store) CompiledTrace(ctx context.Context, cfg core.Config, bench workload.Spec) (*trace.Compiled, error) {
 	if s.traces == nil {
 		return nil, fmt.Errorf("resultstore: trace tier disabled")
 	}
+	return s.traces.CompiledTrace(ctx, cfg.Canonical(), bench)
+}
+
+// fillTrace is the memory tier's fill: the persisted artifact when one
+// is readable, otherwise a compilation written back to disk.  The tier
+// runs it once per key however many requests wait, so the counters
+// below count artifacts, not requests.
+func (s *Store) fillTrace(ctx context.Context, cfg core.Config, bench workload.Spec) (*trace.Compiled, error) {
 	key, err := TraceKey(cfg, bench.Key, s.version)
 	if err != nil {
 		return nil, err
 	}
-	t := s.traces
-	for {
-		t.mu.Lock()
-		if el, ok := t.entries[key]; ok {
-			t.order.MoveToFront(el)
-			ct := el.Value.(*traceTierEntry).ct
-			t.mu.Unlock()
-			s.traceMemHits.Add(1)
-			return ct, nil
-		}
-		if fl, ok := t.inflight[key]; ok {
-			t.mu.Unlock()
-			s.inflightWaits.Add(1)
-			select {
-			case <-fl.done:
-				if fl.err == nil {
-					return fl.ct, nil
-				}
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-				continue // the leader failed; try leading ourselves
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		fl := &traceTierFlight{done: make(chan struct{})}
-		t.inflight[key] = fl
-		t.mu.Unlock()
-
-		ct, fromDisk := s.loadTrace(key)
-		if ct == nil {
-			ct, err = bench.Compile(ctx, cfg.Canonical().Seed, cfg.Canonical().TraceLength, 0)
-			if err == nil {
-				s.traceCompiles.Add(1)
-				if s.dir != "" {
-					if perr := s.persistTrace(key, ct); perr != nil {
-						s.persistErrors.Add(1)
-					}
-				}
-			}
-		} else if fromDisk {
-			s.traceDiskHits.Add(1)
-		}
-		fl.ct, fl.err = ct, err
-
-		t.mu.Lock()
-		delete(t.inflight, key)
-		if err == nil {
-			t.insert(key, ct)
-		}
-		t.mu.Unlock()
-		close(fl.done)
-		return ct, err
+	if ct := s.loadTrace(key); ct != nil {
+		s.traceDiskHits.Add(1)
+		return ct, nil
 	}
-}
-
-// insert adds a decoded artifact, evicting cold entries past the byte
-// budget.  Callers hold t.mu.
-func (t *traceTier) insert(key string, ct *trace.Compiled) {
-	size := ct.SizeBytes()
-	if size > t.max {
-		return
+	ct, err := bench.Compile(ctx, cfg.Seed, cfg.TraceLength, 0)
+	if err != nil {
+		return nil, err
 	}
-	t.entries[key] = t.order.PushFront(&traceTierEntry{key: key, ct: ct})
-	t.bytes += size
-	for t.bytes > t.max {
-		el := t.order.Back()
-		if el == nil {
-			break
+	s.traceCompiles.Add(1)
+	if s.dir != "" {
+		if perr := s.publish(key, s.tracePath(key), ct.Marshal(), &s.ledger.traces, ""); perr != nil {
+			s.persistErrors.Add(1)
 		}
-		ent := el.Value.(*traceTierEntry)
-		t.order.Remove(el)
-		delete(t.entries, ent.key)
-		t.bytes -= ent.ct.SizeBytes()
 	}
+	return ct, nil
 }
 
 // loadTrace reads and decompresses a persisted artifact.  A missing file
 // is an ordinary miss; anything unreadable or failing validation is a
 // miss counted as corrupt — the artifact is recompiled, never trusted.
 // A hit bumps the artifact's AccessedAt so disk GC sees replay traffic.
-func (s *Store) loadTrace(key string) (ct *trace.Compiled, fromDisk bool) {
+func (s *Store) loadTrace(key string) *trace.Compiled {
 	if s.dir == "" {
-		return nil, false
+		return nil
 	}
 	path := s.tracePath(key)
 	f, err := os.Open(path)
@@ -226,16 +134,16 @@ func (s *Store) loadTrace(key string) (ct *trace.Compiled, fromDisk bool) {
 		if !os.IsNotExist(err) {
 			s.corrupt.Add(1)
 		}
-		return nil, false
+		return nil
 	}
-	ct, err = s.loadTraceFile(f)
+	ct, err := s.loadTraceFile(f)
 	_ = f.Close()
 	if err != nil {
 		s.corrupt.Add(1)
-		return nil, false
+		return nil
 	}
 	s.touch(key, path)
-	return ct, true
+	return ct
 }
 
 // loadTraceFile decompresses and decodes one open trace artifact.  Split
@@ -249,32 +157,4 @@ func (s *Store) loadTraceFile(f *os.File) (*trace.Compiled, error) {
 		return nil, err
 	}
 	return trace.UnmarshalCompiled(raw)
-}
-
-// persistTrace writes the compressed artifact atomically under its key
-// stripe, charging the lifecycle ledger before the bytes reach disk —
-// trace artifacts and manifests share one quota.
-func (s *Store) persistTrace(key string, ct *trace.Compiled) error {
-	zdata, err := deflate(ct.Marshal())
-	if err != nil {
-		return err
-	}
-	if err := s.reserve(int64(len(zdata))); err != nil {
-		return err
-	}
-
-	mu := s.diskLock(key)
-	defer mu.Unlock()
-	final := s.tracePath(key)
-	oldSize := fileSize(final)
-	if err := writeFileAtomic(final, zdata); err != nil {
-		s.release(int64(len(zdata)))
-		return err
-	}
-	if oldSize >= 0 {
-		s.ledger.bytes.Add(-oldSize)
-	} else {
-		s.ledger.traces.Add(1)
-	}
-	return nil
 }

@@ -2,14 +2,20 @@ package resultstore
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"cacheuniformity/internal/core"
 	"cacheuniformity/internal/registry"
 	"cacheuniformity/internal/testutil"
+	"cacheuniformity/internal/trace"
 	"cacheuniformity/internal/workload"
 )
 
@@ -223,4 +229,156 @@ func TestTraceSourceDisabledByDefault(t *testing.T) {
 	if c := s.Counters(); c.TraceCompiles != 0 {
 		t.Errorf("TraceCompiles = %d without CompileTraces", c.TraceCompiles)
 	}
+}
+
+// gatedSpec is a cacheable benchmark (crc's stream under its own key)
+// whose every compilation parks on its first read until release is
+// closed or the compiling request's context ends.  Each compilation that
+// reaches the stream sends on started, so a test sees exactly how many
+// compilations ran and controls when they finish.
+func gatedSpec(started chan<- struct{}, release <-chan struct{}) workload.Spec {
+	crc := workload.MustLookup("crc")
+	spec := workload.NewSpec("gated", workload.MiBench, "crc behind a gate",
+		func(ctx context.Context, seed uint64, n int) trace.BatchReader {
+			started <- struct{}{}
+			return &gatedReader{ctx: ctx, inner: crc.StreamCtx(ctx, seed, n), release: release}
+		})
+	spec.Key = "test/gated-crc"
+	return spec
+}
+
+type gatedReader struct {
+	ctx     context.Context
+	inner   trace.BatchReader
+	release <-chan struct{}
+	opened  bool
+}
+
+func (g *gatedReader) ReadBatch(dst []trace.Access) (int, error) {
+	if !g.opened {
+		select {
+		case <-g.release:
+			g.opened = true
+		case <-g.ctx.Done():
+			return 0, g.ctx.Err()
+		}
+	}
+	return g.inner.ReadBatch(dst)
+}
+
+func (g *gatedReader) Close() error {
+	trace.CloseBatch(g.inner)
+	return nil
+}
+
+// parkedInTraceCache counts goroutines blocked inside the store's trace
+// cache: a compiling leader parked on the gate, or a request parked on
+// its flight.
+func parkedInTraceCache() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		head, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(head, "[select") && strings.Contains(g, "core.(*MemTraceCache).CompiledTrace") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTraceSingleflightCollapse: concurrent requests for one benchmark's
+// trace compile it once, and every request gets the same artifact.
+func TestTraceSingleflightCollapse(t *testing.T) {
+	defer testutil.CheckLeaks(t)
+	cfg := tinyConfig()
+	s := openTemp(t, Options{CompileTraces: true})
+	started := make(chan struct{}, 8)
+	release := make(chan struct{})
+	spec := gatedSpec(started, release)
+
+	const requests = 8
+	cts := make([]*trace.Compiled, requests)
+	errs := make([]error, requests)
+	var wg sync.WaitGroup
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cts[i], errs[i] = s.CompiledTrace(context.Background(), cfg, spec)
+		}(i)
+	}
+	<-started
+	testutil.WaitFor(t, 10*time.Second, "every request parked on the one compilation",
+		func() bool { return parkedInTraceCache() == requests })
+	close(release)
+	wg.Wait()
+
+	for i := range cts {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if cts[i] != cts[0] {
+			t.Errorf("request %d got a different artifact than request 0", i)
+		}
+	}
+	if c := s.Counters(); c.TraceCompiles != 1 {
+		t.Errorf("TraceCompiles = %d for %d concurrent requests, want 1", c.TraceCompiles, requests)
+	}
+	if n := len(started); n != 0 {
+		t.Errorf("%d extra compilations reached the stream", n)
+	}
+	checkInvariants(t, s)
+}
+
+// TestTraceSingleflightLeaderCancelled: when the compiling request gives
+// up mid-compile, a request still waiting on its flight recompiles and
+// succeeds; the abandoned compilation is neither counted nor cached.
+func TestTraceSingleflightLeaderCancelled(t *testing.T) {
+	defer testutil.CheckLeaks(t)
+	cfg := tinyConfig()
+	s := openTemp(t, Options{CompileTraces: true})
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	spec := gatedSpec(started, release)
+
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.CompiledTrace(leaderCtx, cfg, spec)
+		leaderErr <- err
+	}()
+	<-started
+
+	waiterCT := make(chan *trace.Compiled, 1)
+	waiterErr := make(chan error, 1)
+	go func() {
+		ct, err := s.CompiledTrace(context.Background(), cfg, spec)
+		waiterCT <- ct
+		waiterErr <- err
+	}()
+	testutil.WaitFor(t, 10*time.Second, "the waiter parked on the leader's flight",
+		func() bool { return parkedInTraceCache() == 2 })
+
+	cancel()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
+	}
+	close(release)
+	ct, err := <-waiterCT, <-waiterErr
+	if err != nil || ct == nil {
+		t.Fatalf("waiter after a cancelled leader: (%v, %v), want a trace", ct, err)
+	}
+	if n := len(started); n != 1 {
+		t.Errorf("%d compilations after the leader gave up, want 1 (the waiter's)", n)
+	}
+	if c := s.Counters(); c.TraceCompiles != 1 {
+		t.Errorf("TraceCompiles = %d, want 1 (the abandoned compile is not counted)", c.TraceCompiles)
+	}
+	again, err := s.CompiledTrace(context.Background(), cfg, spec)
+	if err != nil || again != ct {
+		t.Errorf("repeat request = (%p, %v), want the cached %p", again, err, ct)
+	}
+	checkInvariants(t, s)
 }
