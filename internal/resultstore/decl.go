@@ -44,6 +44,9 @@ func (s *Store) CellDecl(ctx context.Context, cfg core.Config, schemeDecl, bench
 
 		fl, leader := s.join(key)
 		if leader {
+			if res, ok := s.recheck(key, fl); ok {
+				return res, OriginMemory, nil
+			}
 			res, _ := core.RunOneOf(ctx, cfg, scheme, spec)
 			s.finish(key, fl, cfg, res)
 			return res, OriginComputed, res.Err
@@ -152,6 +155,10 @@ func (s *Store) GridDecls(ctx context.Context, cfg core.Config, schemeDecls, ben
 					benchDecl: benchCanon[bi], schemeDecl: schemeCanon[si],
 					fl: fl,
 				})
+				continue
+			}
+			if res, ok := s.recheck(key, fl); ok {
+				row[sc.Name] = res
 				continue
 			}
 			if len(benchLeads[b]) == 0 {
