@@ -7,11 +7,13 @@ GO ?= go
 # store is not paying for its complexity.
 SERVE_MIN_SPEEDUP ?= 100
 
-# Allocation budget for the fan-out grid engine: ~0.1 allocs per simulated
-# access would be 90k per op here, so 200k enforces O(batches + model
-# construction), not O(accesses).  BenchmarkGridFanout replays 900k
-# accesses per op (3 benchmarks x 300k).
-GRID_ALLOC_BUDGET ?= 200000
+# Allocation budget for the fan-out grid engine, about twice the ~14k
+# allocs/op it measures: ~0.1 allocs per simulated access would be 90k
+# per op here, and per-set replacement state for every direct-mapped
+# model would add ~2k per model, so 28k enforces O(batches + model
+# construction), not O(accesses) or O(sets).  BenchmarkGridFanout
+# replays 900k accesses per op (3 benchmarks x 300k).
+GRID_ALLOC_BUDGET ?= 28000
 
 # Throughput floor for the compiled-trace fan-out engine, in SIMULATED
 # accesses per second (trace length x benchmarks x schemes per op; see

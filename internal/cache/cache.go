@@ -51,9 +51,20 @@ type Cache struct {
 	noAlloc      bool
 	writeThrough bool
 
-	lines    [][]Line // [set][way]
+	lineState
+	// replSets is the per-set replacement state of the generic loop; nil
+	// for a direct-mapped kernel cache, whose single way leaves a policy
+	// nothing to decide.
 	replSets []SetPolicy
+	// setBuf holds the set numbers of the batch the direct-mapped kernel
+	// is replaying; nil for every other cache.
+	setBuf []int32
+}
 
+// lineState is what replay writes: the lines, flat ([set*ways + way]),
+// and the counters.  A Cache and a segment scratch each own one.
+type lineState struct {
+	lines    []Line
 	counters Counters
 	perSet   PerSet
 }
@@ -102,14 +113,22 @@ func New(cfg Config) (*Cache, error) {
 
 func (c *Cache) alloc() {
 	sets := c.layout.Sets()
-	c.lines = make([][]Line, sets)
+	c.lines = make([]Line, sets*c.ways)
+	c.perSet = NewPerSet(sets)
+	if c.directMapped() {
+		c.setBuf = make([]int32, trace.DefaultBatch)
+		return
+	}
 	c.replSets = make([]SetPolicy, sets)
-	storage := make([]Line, sets*c.ways)
-	for s := 0; s < sets; s++ {
-		c.lines[s], storage = storage[:c.ways:c.ways], storage[c.ways:]
+	for s := range c.replSets {
 		c.replSets[s] = c.policy.NewSet(c.ways)
 	}
-	c.perSet = NewPerSet(sets)
+}
+
+// directMapped reports whether the cache replays through the
+// direct-mapped kernel: one way, write-back, write-allocate.
+func (c *Cache) directMapped() bool {
+	return c.ways == 1 && !c.writeThrough && !c.noAlloc
 }
 
 // Name implements Model.
@@ -130,10 +149,8 @@ func (c *Cache) Index() indexing.Func { return c.index }
 
 // Reset implements Model.
 func (c *Cache) Reset() {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			c.lines[s][w] = Line{}
-		}
+	clear(c.lines)
+	for s := range c.replSets {
 		c.replSets[s] = c.policy.NewSet(c.ways)
 	}
 	c.counters = Counters{}
@@ -150,6 +167,18 @@ func (c *Cache) PerSet() PerSet { return c.perSet.Clone() }
 func (c *Cache) Access(a trace.Access) AccessResult {
 	set := c.index.Index(a.Addr)
 	block := c.layout.Block(a.Addr)
+	if c.directMapped() {
+		prior := c.lines[set]
+		batch, sets := [1]trace.Access{a}, [1]int32{int32(set)}
+		c.replayDM(batch[:], sets[:], c.layout.OffsetBits, nil)
+		switch {
+		case prior.Valid && prior.Block == block:
+			return AccessResult{Hit: true, HitCycles: 1}
+		case prior.Valid:
+			return AccessResult{Evicted: true, EvictedBlock: prior.Block, Writeback: prior.Dirty}
+		}
+		return AccessResult{}
+	}
 	res := c.accessSet(set, block, a.Kind == trace.Write)
 	c.counters.Add(res)
 	c.perSet.Accesses[set]++
@@ -162,10 +191,16 @@ func (c *Cache) Access(a trace.Access) AccessResult {
 }
 
 // AccessBatch implements BatchAccessor: the same bookkeeping as Access,
-// but over a whole batch through concrete (devirtualised) calls.
+// but over a whole batch through concrete (devirtualised) calls.  A
+// direct-mapped cache replays through the kernel, a set-number batch at
+// a time.
 //
 //lint:hotpath per-access work in the replay inner loop
 func (c *Cache) AccessBatch(batch []trace.Access) {
+	if c.directMapped() {
+		c.replayBatchDM(c.index, c.layout.OffsetBits, batch, c.setBuf, nil)
+		return
+	}
 	for _, a := range batch {
 		set := c.index.Index(a.Addr)
 		block := c.layout.Block(a.Addr)
@@ -182,7 +217,7 @@ func (c *Cache) AccessBatch(batch []trace.Access) {
 
 // accessSet performs the lookup/fill within one set.
 func (c *Cache) accessSet(set int, block uint64, store bool) AccessResult {
-	lines := c.lines[set]
+	lines := c.lines[set*c.ways : (set+1)*c.ways]
 	repl := c.replSets[set]
 	for w := range lines {
 		if lines[w].Valid && lines[w].Block == block {
@@ -229,7 +264,7 @@ func (c *Cache) accessSet(set int, block uint64, store bool) AccessResult {
 func (c *Cache) Lookup(a addr.Addr) bool {
 	set := c.index.Index(a)
 	block := c.layout.Block(a)
-	for _, ln := range c.lines[set] {
+	for _, ln := range c.lines[set*c.ways : (set+1)*c.ways] {
 		if ln.Valid && ln.Block == block {
 			return true
 		}
@@ -239,17 +274,14 @@ func (c *Cache) Lookup(a addr.Addr) bool {
 
 // Utilization returns the fraction of lines currently valid.
 func (c *Cache) Utilization() float64 {
-	total, valid := 0, 0
-	for _, set := range c.lines {
-		for _, ln := range set {
-			total++
-			if ln.Valid {
-				valid++
-			}
-		}
-	}
-	if total == 0 {
+	if len(c.lines) == 0 {
 		return 0
 	}
-	return float64(valid) / float64(total)
+	valid := 0
+	for _, ln := range c.lines {
+		if ln.Valid {
+			valid++
+		}
+	}
+	return float64(valid) / float64(len(c.lines))
 }

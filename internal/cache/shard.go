@@ -17,20 +17,20 @@ import (
 // previous segments left behind.  The protocol therefore has two phases:
 //
 //  1. Scratch (parallelisable per segment): replay the segment into a
-//     DMScratch, counting everything after each set's first touch and
-//     recording the first touch itself (block, store) plus what later
-//     happened to the residency it started ("residency 0"): evicted
-//     within the segment (and locally clean or dirty at that point), or
-//     still resident at segment end.
-//  2. Stitch (serial, in segment order): resolve each recorded first
-//     touch against the authoritative line state — hit when the prior
-//     segment left the same block resident, miss (with the prior line's
-//     eviction and writeback) otherwise.  A load that hits a dirty prior
-//     line carries that dirt into residency 0, which the scratch pass
-//     modelled as clean: the stitch adds the missing writeback if that
-//     residency was evicted locally clean, or re-marks the final line
-//     dirty if it survived the segment.  Finally the scratch's per-set
-//     end state becomes the new authoritative state.
+//     DMScratch through the direct-mapped kernel.  Each set's first touch
+//     is a cold miss there, counted provisionally; the kernel records its
+//     block, and what later happened to the residency it started
+//     ("residency 0"): evicted within the segment (locally clean or
+//     dirty at that point), or still resident at segment end.
+//  2. Stitch (serial, in segment order): resolve each provisional cold
+//     miss against the authoritative line state — a hit when the prior
+//     segment left the same block resident, otherwise a miss that also
+//     evicts (and maybe writes back) the prior line.  A load that hits a
+//     dirty prior line carries that dirt into residency 0, which the
+//     scratch pass modelled as clean: the stitch adds the missing
+//     writeback if that residency was evicted locally clean, or re-marks
+//     the final line dirty if it survived the segment.  Finally the
+//     scratch's per-set end state becomes the new authoritative state.
 //
 // Every counter is either a pure per-segment sum (accesses — the
 // stateless per-set counts — plus all post-first-touch events) or is
@@ -46,58 +46,55 @@ import (
 // per-kind Shardable capability.
 func ShardReplayable(m Model) (*Cache, bool) {
 	c, ok := m.(*Cache)
-	if !ok || c.ways != 1 || c.writeThrough || c.noAlloc {
+	if !ok || !c.directMapped() {
 		return nil, false
 	}
 	return c, true
 }
 
-// DMScratch is the per-segment scratch state of the sharded replay.  It
-// is sized for one cache's set count and reusable via Reset.
-type DMScratch struct {
-	counters Counters
-	perSet   PerSet
-	lines    []Line // segment-local final line per set
+// Residency-0 states of a scratch set (see the protocol above).
+const (
+	res0Resident     uint8 = iota // untouched, or residency 0 still resident
+	res0EvictedClean              // evicted within the segment, locally clean
+	res0EvictedDirty              // evicted within the segment, locally dirty
+)
 
-	touched        []bool
-	firstBlock     []uint64
-	firstStore     []bool
-	curIsRes0      []bool // the resident line is still residency 0
-	res0Evicted    []bool // residency 0 was evicted within the segment
-	res0EvictDirty []bool // ...and was locally dirty at that eviction
-	touchedSets    []int32
+// DMScratch is the per-segment scratch state of the sharded replay.  It
+// is sized for one cache's set count and reusable via Reset.  It owns its
+// set-number buffer, so concurrent scratch replays only read the Cache.
+type DMScratch struct {
+	lineState // segment-local lines and counters
+	setBuf    []int32
+
+	firstBlock []uint64 // block of the set's first touch
+	res0       []uint8  // residency-0 state per set
+	touched    []int32  // sets touched, in first-touch order
+	nTouched   int
 }
 
 // NewDMScratch allocates scratch state for replaying segments against c.
 func (c *Cache) NewDMScratch() *DMScratch {
 	n := c.layout.Sets()
 	return &DMScratch{
-		perSet:         NewPerSet(n),
-		lines:          make([]Line, n),
-		touched:        make([]bool, n),
-		firstBlock:     make([]uint64, n),
-		firstStore:     make([]bool, n),
-		curIsRes0:      make([]bool, n),
-		res0Evicted:    make([]bool, n),
-		res0EvictDirty: make([]bool, n),
-		touchedSets:    make([]int32, 0, n),
+		lineState:  lineState{lines: make([]Line, n), perSet: NewPerSet(n)},
+		setBuf:     make([]int32, trace.DefaultBatch),
+		firstBlock: make([]uint64, n),
+		res0:       make([]uint8, n),
+		touched:    make([]int32, n),
 	}
 }
 
 // Reset clears the scratch for the next segment.
 func (s *DMScratch) Reset() {
 	s.counters = Counters{}
-	for _, set := range s.touchedSets {
+	for _, set := range s.touched[:s.nTouched] {
 		s.perSet.Accesses[set] = 0
 		s.perSet.Hits[set] = 0
 		s.perSet.Misses[set] = 0
 		s.lines[set] = Line{}
-		s.touched[set] = false
-		s.curIsRes0[set] = false
-		s.res0Evicted[set] = false
-		s.res0EvictDirty[set] = false
+		s.res0[set] = res0Resident
 	}
-	s.touchedSets = s.touchedSets[:0]
+	s.nTouched = 0
 }
 
 // ReplaySegmentScratch replays one segment's stream into the scratch.
@@ -109,49 +106,9 @@ func (c *Cache) ReplaySegmentScratch(r trace.BatchReader, buf []trace.Access, s 
 	if len(buf) == 0 {
 		buf = make([]trace.Access, trace.DefaultBatch)
 	}
-	idx := c.index
-	lay := c.layout
 	for {
 		n, err := r.ReadBatch(buf)
-		//lint:hotpath sharded replay's per-access scratch loop
-		for _, a := range buf[:n] {
-			set := idx.Index(a.Addr)
-			block := lay.Block(a.Addr)
-			store := a.Kind == trace.Write
-			s.counters.Accesses++
-			s.perSet.Accesses[set]++
-			if !s.touched[set] {
-				s.touched[set] = true
-				s.firstBlock[set] = block
-				s.firstStore[set] = store
-				s.curIsRes0[set] = true
-				s.lines[set] = Line{Valid: true, Block: block, Dirty: store}
-				s.touchedSets = append(s.touchedSets, int32(set))
-				continue // hit/miss/eviction resolved at the stitch
-			}
-			ln := &s.lines[set]
-			if ln.Block == block {
-				s.counters.Hits++
-				s.counters.PrimaryHits++
-				s.perSet.Hits[set]++
-				if store {
-					ln.Dirty = true
-				}
-				continue
-			}
-			s.counters.Misses++
-			s.perSet.Misses[set]++
-			s.counters.Evictions++
-			if ln.Dirty {
-				s.counters.Writebacks++
-			}
-			if s.curIsRes0[set] {
-				s.res0Evicted[set] = true
-				s.res0EvictDirty[set] = ln.Dirty
-				s.curIsRes0[set] = false
-			}
-			*ln = Line{Valid: true, Block: block, Dirty: store}
-		}
+		s.replayBatchDM(c.index, c.layout.OffsetBits, buf[:n], s.setBuf, s)
 		if n == 0 {
 			if err == nil || errors.Is(err, io.EOF) {
 				return nil
@@ -162,9 +119,9 @@ func (c *Cache) ReplaySegmentScratch(r trace.BatchReader, buf []trace.Access, s 
 }
 
 // StitchSegment merges one segment's scratch into the live cache,
-// resolving the per-set first touches against the authoritative line
-// state.  Segments must be stitched serially in trace order; the merge
-// loop touches only the sets the segment accessed.
+// settling each set's provisional cold miss against the authoritative
+// line state.  Segments must be stitched serially in trace order; the
+// merge loop touches only the sets the segment accessed.
 func (c *Cache) StitchSegment(s *DMScratch) {
 	c.counters.Accesses += s.counters.Accesses
 	c.counters.Hits += s.counters.Hits
@@ -173,39 +130,38 @@ func (c *Cache) StitchSegment(s *DMScratch) {
 	c.counters.Evictions += s.counters.Evictions
 	c.counters.Writebacks += s.counters.Writebacks
 	//lint:hotpath boundary merge loop of the sharded replay
-	for _, set32 := range s.touchedSets {
-		set := int(set32)
+	for _, set := range s.touched[:s.nTouched] {
 		c.perSet.Accesses[set] += s.perSet.Accesses[set]
 		c.perSet.Hits[set] += s.perSet.Hits[set]
 		c.perSet.Misses[set] += s.perSet.Misses[set]
 
-		prior := c.lines[set][0]
+		prior := c.lines[set]
 		carried := false
-		if prior.Valid && prior.Block == s.firstBlock[set] {
+		switch {
+		case prior.Valid && prior.Block == s.firstBlock[set]:
+			// The provisional cold miss was a hit.
+			c.counters.Misses--
 			c.counters.Hits++
 			c.counters.PrimaryHits++
+			c.perSet.Misses[set]--
 			c.perSet.Hits[set]++
 			carried = prior.Dirty
-		} else {
-			c.counters.Misses++
-			c.perSet.Misses[set]++
-			if prior.Valid {
-				c.counters.Evictions++
-				if prior.Dirty {
-					c.counters.Writebacks++
-				}
+		case prior.Valid:
+			c.counters.Evictions++
+			if prior.Dirty {
+				c.counters.Writebacks++
 			}
 		}
-		if carried && s.res0Evicted[set] && !s.res0EvictDirty[set] {
+		if carried && s.res0[set] == res0EvictedClean {
 			// Residency 0 inherited the prior line's dirt, was modelled
 			// clean locally, and left the cache without a writeback: the
 			// stitch owes one.
 			c.counters.Writebacks++
 		}
 		final := s.lines[set]
-		if carried && s.curIsRes0[set] {
+		if carried && s.res0[set] == res0Resident {
 			final.Dirty = true
 		}
-		c.lines[set][0] = final
+		c.lines[set] = final
 	}
 }

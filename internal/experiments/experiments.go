@@ -245,23 +245,3 @@ func MixLabel(mix []string) string {
 	}
 	return label
 }
-
-// normalizeCfg fills zero fields of cfg from the paper's defaults (the
-// exported mirror of core's internal normalization, for the SMT figures
-// that drive the smt package directly instead of going through the grid).
-func normalizeCfg(cfg core.Config) core.Config {
-	d := core.Default()
-	if cfg.Layout.AddressBits == 0 {
-		cfg.Layout = d.Layout
-	}
-	if cfg.TraceLength == 0 {
-		cfg.TraceLength = d.TraceLength
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = d.Seed
-	}
-	if cfg.MissPenalty == 0 {
-		cfg.MissPenalty = d.MissPenalty
-	}
-	return cfg
-}

@@ -22,12 +22,12 @@ import (
 // associative the cache becomes; a conflict workload (fft, sha) collapses
 // at the first doubling — non-uniformity, not geometry, is the lever.
 func GeometrySweep(ctx context.Context, cfg core.Config, bench string) (*report.Table, error) {
-	cfgN := normalizeCfg(cfg)
+	canon := cfg.Canonical()
 	spec, err := workload.Lookup(bench)
 	if err != nil {
 		return nil, err
 	}
-	sf := spec.StreamFuncCtx(ctx, cfgN.Seed, cfgN.TraceLength)
+	sf := spec.StreamFuncCtx(ctx, canon.Seed, canon.TraceLength)
 
 	type point struct {
 		label string
