@@ -174,6 +174,7 @@ func TestReductionHelpers(t *testing.T) {
 	}
 }
 
+// TestRunTrace runs a caller-supplied trace through RunStream.
 func TestRunTrace(t *testing.T) {
 	tr := make(trace.Trace, 0, 1000)
 	for i := 0; i < 500; i++ {
@@ -181,11 +182,11 @@ func TestRunTrace(t *testing.T) {
 			trace.Access{Addr: 0, Kind: trace.Read},
 			trace.Access{Addr: addr.Addr(0x8000), Kind: trace.Read})
 	}
-	base, err := RunTrace(context.Background(), fastCfg(), "baseline", "pair", tr)
+	base, err := RunStream(context.Background(), fastCfg(), "baseline", "pair", tr.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := RunTrace(context.Background(), fastCfg(), "column_associative", "pair", tr)
+	col, err := RunStream(context.Background(), fastCfg(), "column_associative", "pair", tr.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}

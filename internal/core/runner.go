@@ -87,10 +87,6 @@ func streamFor(ctx context.Context, cfg Config, bench workload.Spec) (trace.Stre
 	return bench.StreamFuncCtx(ctx, cfg.Seed, cfg.TraceLength), nil
 }
 
-// Access aliases trace.Access so callers assembling custom traces for
-// RunTrace need not import the trace package alongside core.
-type Access = trace.Access
-
 // runCell replays one workload stream through one scheme.  Profile-driven
 // schemes consume one stream from sf to build their index function, then
 // replay a second, identical stream — the two-pass protocol that keeps
@@ -159,15 +155,9 @@ func finishCell(res *Result, cfg Config, scheme Scheme, model cache.Model) {
 	res.Classification = stats.ClassifySets(res.PerSet.Hits, res.PerSet.Misses, res.PerSet.Accesses)
 }
 
-// RunTrace evaluates one scheme on a caller-supplied trace (used by the
-// SMT experiments, whose traces are interleavings rather than single
-// benchmarks).
-func RunTrace(ctx context.Context, cfg Config, schemeName, label string, tr trace.Trace) (Result, error) {
-	return RunStream(ctx, cfg, schemeName, label, tr.Stream())
-}
-
-// RunStream is RunTrace for a replayable stream: the bounded-memory entry
-// point for caller-supplied workloads.
+// RunStream evaluates one scheme on a caller-supplied replayable stream:
+// the bounded-memory entry point for workloads that are not registered
+// benchmarks.
 func RunStream(ctx context.Context, cfg Config, schemeName, label string, sf trace.StreamFunc) (Result, error) {
 	cfg = cfg.normalized()
 	scheme, err := SchemeByName(schemeName)
