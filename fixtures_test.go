@@ -53,7 +53,7 @@ func mustColumnAssociative(l addr.Layout, idx indexing.Func) *assoc.ColumnAssoci
 	return c
 }
 
-func mustSharedIndexCache(l addr.Layout, funcs []indexing.Func) *smt.SharedIndexCache {
+func mustSharedIndexCache(l addr.Layout, funcs []indexing.Func) *smt.SharedCache {
 	s, err := smt.NewSharedIndexCache(l, funcs)
 	if err != nil {
 		panic(err)

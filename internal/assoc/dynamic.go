@@ -39,13 +39,13 @@ type DynamicConfig struct {
 // arrays model the small tag-only monitor hardware the proposal would
 // need.
 type DynamicIndexCache struct {
+	cache.DirectMapped
 	name   string
 	layout addr.Layout
 	cfg    DynamicConfig
 	cands  []indexing.Func
 
-	live  int // index into cands
-	lines []cache.Line
+	live int // index into cands
 
 	shadow       [][]uint64 // [candidate][set] resident block+1 (tag-only)
 	shadowMisses []uint64
@@ -53,9 +53,6 @@ type DynamicIndexCache struct {
 
 	// Switches counts index reprogrammings (diagnostics/ablation).
 	Switches uint64
-
-	counters cache.Counters
-	perSet   cache.PerSet
 }
 
 // NewDynamicIndexCache builds the selector over the candidate functions;
@@ -86,7 +83,7 @@ func NewDynamicIndexCache(l addr.Layout, cands []indexing.Func, cfg DynamicConfi
 	if cfg.MinSavings == 0 {
 		cfg.MinSavings = l.Sets() / 8
 	}
-	d := &DynamicIndexCache{name: name, layout: l, cfg: cfg, cands: cands}
+	d := &DynamicIndexCache{DirectMapped: cache.NewDirectMapped(l.Sets()), name: name, layout: l, cfg: cfg, cands: cands}
 	d.Reset()
 	return d, nil
 }
@@ -113,8 +110,8 @@ func (d *DynamicIndexCache) Live() string { return d.cands[d.live].Name() }
 
 // Reset implements cache.Model.
 func (d *DynamicIndexCache) Reset() {
+	d.DirectMapped.Reset()
 	d.live = 0
-	d.lines = make([]cache.Line, d.layout.Sets())
 	d.shadow = make([][]uint64, len(d.cands))
 	for i := range d.shadow {
 		d.shadow[i] = make([]uint64, d.layout.Sets())
@@ -122,25 +119,14 @@ func (d *DynamicIndexCache) Reset() {
 	d.shadowMisses = make([]uint64, len(d.cands))
 	d.sinceWindow = 0
 	d.Switches = 0
-	d.counters = cache.Counters{}
-	d.perSet = cache.NewPerSet(d.layout.Sets())
 }
-
-// Counters implements cache.Model.
-func (d *DynamicIndexCache) Counters() cache.Counters { return d.counters }
-
-// PerSet implements cache.Model.
-func (d *DynamicIndexCache) PerSet() cache.PerSet { return d.perSet.Clone() }
 
 // Access implements cache.Model.
 //
 //lint:hotpath per-access scheme hot path
 func (d *DynamicIndexCache) Access(a trace.Access) cache.AccessResult {
-	block := d.layout.Block(a.Addr)
-	store := a.Kind == trace.Write
-
 	// Shadow monitors observe every access under every candidate mapping.
-	key := block + 1
+	key := d.layout.Block(a.Addr) + 1
 	for c, f := range d.cands {
 		set := f.Index(a.Addr)
 		if d.shadow[c][set] != key {
@@ -149,31 +135,7 @@ func (d *DynamicIndexCache) Access(a trace.Access) cache.AccessResult {
 		}
 	}
 
-	// Live lookup.
-	set := d.cands[d.live].Index(a.Addr)
-	res := cache.AccessResult{}
-	if ln := &d.lines[set]; ln.Valid && ln.Block == block {
-		res = cache.AccessResult{Hit: true, HitCycles: 1}
-		if store {
-			ln.Dirty = true
-		}
-	} else {
-		if ln.Valid {
-			res.Evicted = true
-			res.EvictedBlock = ln.Block
-			res.Writeback = ln.Dirty
-		}
-		*ln = cache.Line{Valid: true, Block: block, Dirty: store}
-	}
-
-	d.counters.Add(res)
-	d.perSet.Accesses[set]++
-	if res.Hit {
-		d.perSet.Hits[set]++
-	} else {
-		d.perSet.Misses[set]++
-	}
-
+	res := d.DirectMapped.Access(d.cands[d.live].Index(a.Addr), a, d.layout.OffsetBits)
 	d.sinceWindow++
 	if d.sinceWindow >= d.cfg.Window {
 		d.evaluate()
@@ -200,9 +162,7 @@ func (d *DynamicIndexCache) evaluate() {
 		// Dirty lines would be written back by real hardware; the model
 		// discards them (the hierarchy sees no traffic — acceptable since
 		// switches are rare by construction).
-		for i := range d.lines {
-			d.lines[i] = cache.Line{}
-		}
+		d.Flush()
 	}
 	for c := range d.shadowMisses {
 		d.shadowMisses[c] = 0

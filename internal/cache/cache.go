@@ -51,7 +51,9 @@ type Cache struct {
 	noAlloc      bool
 	writeThrough bool
 
-	lineState
+	// store holds the lines, flat ([set*ways + way]), and the counters;
+	// at one way its direct-mapped methods replay into it.
+	store DirectMapped
 	// replSets is the per-set replacement state of the generic loop; nil
 	// for a direct-mapped kernel cache, whose single way leaves a policy
 	// nothing to decide.
@@ -59,14 +61,6 @@ type Cache struct {
 	// setBuf holds the set numbers of the batch the direct-mapped kernel
 	// is replaying; nil for every other cache.
 	setBuf []int32
-}
-
-// lineState is what replay writes: the lines, flat ([set*ways + way]),
-// and the counters.  A Cache and a segment scratch each own one.
-type lineState struct {
-	lines    []Line
-	counters Counters
-	perSet   PerSet
 }
 
 // New builds a cache from the config.  The number of sets comes from the
@@ -113,8 +107,7 @@ func New(cfg Config) (*Cache, error) {
 
 func (c *Cache) alloc() {
 	sets := c.layout.Sets()
-	c.lines = make([]Line, sets*c.ways)
-	c.perSet = NewPerSet(sets)
+	c.store = DirectMapped{lines: make([]Line, sets*c.ways), perSet: NewPerSet(sets)}
 	if c.directMapped() {
 		c.setBuf = make([]int32, trace.DefaultBatch)
 		return
@@ -149,44 +142,26 @@ func (c *Cache) Index() indexing.Func { return c.index }
 
 // Reset implements Model.
 func (c *Cache) Reset() {
-	clear(c.lines)
+	c.store.Reset()
 	for s := range c.replSets {
 		c.replSets[s] = c.policy.NewSet(c.ways)
 	}
-	c.counters = Counters{}
-	c.perSet.Reset()
 }
 
 // Counters implements Model.
-func (c *Cache) Counters() Counters { return c.counters }
+func (c *Cache) Counters() Counters { return c.store.Counters() }
 
 // PerSet implements Model.
-func (c *Cache) PerSet() PerSet { return c.perSet.Clone() }
+func (c *Cache) PerSet() PerSet { return c.store.PerSet() }
 
 // Access implements Model.
 func (c *Cache) Access(a trace.Access) AccessResult {
 	set := c.index.Index(a.Addr)
-	block := c.layout.Block(a.Addr)
 	if c.directMapped() {
-		prior := c.lines[set]
-		batch, sets := [1]trace.Access{a}, [1]int32{int32(set)}
-		c.replayDM(batch[:], sets[:], c.layout.OffsetBits, nil)
-		switch {
-		case prior.Valid && prior.Block == block:
-			return AccessResult{Hit: true, HitCycles: 1}
-		case prior.Valid:
-			return AccessResult{Evicted: true, EvictedBlock: prior.Block, Writeback: prior.Dirty}
-		}
-		return AccessResult{}
+		return c.store.Access(set, a, c.layout.OffsetBits)
 	}
-	res := c.accessSet(set, block, a.Kind == trace.Write)
-	c.counters.Add(res)
-	c.perSet.Accesses[set]++
-	if res.Hit {
-		c.perSet.Hits[set]++
-	} else {
-		c.perSet.Misses[set]++
-	}
+	res := c.accessSet(set, c.layout.Block(a.Addr), a.Kind == trace.Write)
+	c.store.record(set, res)
 	return res
 }
 
@@ -198,26 +173,19 @@ func (c *Cache) Access(a trace.Access) AccessResult {
 //lint:hotpath per-access work in the replay inner loop
 func (c *Cache) AccessBatch(batch []trace.Access) {
 	if c.directMapped() {
-		c.replayBatchDM(c.index, c.layout.OffsetBits, batch, c.setBuf, nil)
+		c.store.replayBatch(c.index, c.layout.OffsetBits, batch, c.setBuf, nil)
 		return
 	}
 	for _, a := range batch {
 		set := c.index.Index(a.Addr)
-		block := c.layout.Block(a.Addr)
-		res := c.accessSet(set, block, a.Kind == trace.Write)
-		c.counters.Add(res)
-		c.perSet.Accesses[set]++
-		if res.Hit {
-			c.perSet.Hits[set]++
-		} else {
-			c.perSet.Misses[set]++
-		}
+		res := c.accessSet(set, c.layout.Block(a.Addr), a.Kind == trace.Write)
+		c.store.record(set, res)
 	}
 }
 
 // accessSet performs the lookup/fill within one set.
 func (c *Cache) accessSet(set int, block uint64, store bool) AccessResult {
-	lines := c.lines[set*c.ways : (set+1)*c.ways]
+	lines := c.store.lines[set*c.ways : (set+1)*c.ways]
 	repl := c.replSets[set]
 	for w := range lines {
 		if lines[w].Valid && lines[w].Block == block {
@@ -264,7 +232,7 @@ func (c *Cache) accessSet(set int, block uint64, store bool) AccessResult {
 func (c *Cache) Lookup(a addr.Addr) bool {
 	set := c.index.Index(a)
 	block := c.layout.Block(a)
-	for _, ln := range c.lines[set*c.ways : (set+1)*c.ways] {
+	for _, ln := range c.store.lines[set*c.ways : (set+1)*c.ways] {
 		if ln.Valid && ln.Block == block {
 			return true
 		}
@@ -274,14 +242,14 @@ func (c *Cache) Lookup(a addr.Addr) bool {
 
 // Utilization returns the fraction of lines currently valid.
 func (c *Cache) Utilization() float64 {
-	if len(c.lines) == 0 {
+	if len(c.store.lines) == 0 {
 		return 0
 	}
 	valid := 0
-	for _, ln := range c.lines {
+	for _, ln := range c.store.lines {
 		if ln.Valid {
 			valid++
 		}
 	}
-	return float64(valid) / float64(len(c.lines))
+	return float64(valid) / float64(len(c.store.lines))
 }

@@ -8,16 +8,86 @@ import (
 // The direct-mapped kernel.
 //
 // A direct-mapped, write-back, write-allocate cache holds one line per
-// set, and replacement has nothing to choose.  Live replay (Access,
-// AccessBatch) and a segment's scratch replay (ReplaySegmentScratch) both
-// run replayDM: set numbers come a batch at a time from
-// indexing.IndexBatch, so the index function costs one type switch per
-// batch instead of an interface call per access, and the outcome counts
-// stay in locals until the batch ends.
+// set, and replacement has nothing to choose.  Every model that differs
+// from such a cache only in where an access goes keeps its lines in a
+// DirectMapped store: Cache (at one way), the SMT shared caches, the
+// dynamic repartition cache and the dynamic index selector.  All of them
+// replay through replayDM, as does a segment's scratch replay
+// (ReplaySegmentScratch): set numbers come a batch at a time, so the
+// placement rule runs in its own loop instead of inside the kernel, and
+// the outcome counts stay in locals until the batch ends.
 
-// replayBatchDM replays batch in chunks of len(setBuf): one IndexBatch
+// DirectMapped is the line store of a direct-mapped, write-back,
+// write-allocate cache: one Line per set, the aggregate Counters and the
+// per-set counts.  The caller supplies each access's set.  Its methods
+// implement Model's Counters, PerSet and Reset, so a model that embeds it
+// adds only its name, its set count and its placement rule.
+type DirectMapped struct {
+	lines    []Line
+	counters Counters
+	perSet   PerSet
+}
+
+// NewDirectMapped returns an empty store of sets lines.
+func NewDirectMapped(sets int) DirectMapped {
+	return DirectMapped{lines: make([]Line, sets), perSet: NewPerSet(sets)}
+}
+
+// Replay replays batch, access i going to set sets[i]; block addresses
+// are the access addresses shifted right by offsetBits.
+//
+//lint:hotpath the direct-mapped replay entry of the placement-rule models
+func (st *DirectMapped) Replay(batch []trace.Access, sets []int32, offsetBits uint) {
+	st.replayDM(batch, sets, offsetBits, nil)
+}
+
+// Access replays one access to set and returns its outcome, read from the
+// line the access found.
+func (st *DirectMapped) Access(set int, a trace.Access, offsetBits uint) AccessResult {
+	prior := st.lines[set]
+	batch, sets := [1]trace.Access{a}, [1]int32{int32(set)}
+	st.replayDM(batch[:], sets[:], offsetBits, nil)
+	switch {
+	case prior.Valid && prior.Block == uint64(a.Addr)>>offsetBits:
+		return AccessResult{Hit: true, HitCycles: 1}
+	case prior.Valid:
+		return AccessResult{Evicted: true, EvictedBlock: prior.Block, Writeback: prior.Dirty}
+	}
+	return AccessResult{}
+}
+
+// Counters returns the aggregate counts since construction or Reset.
+func (st *DirectMapped) Counters() Counters { return st.counters }
+
+// PerSet returns a copy of the per-set counts.
+func (st *DirectMapped) PerSet() PerSet { return st.perSet.Clone() }
+
+// Reset empties every line and zeroes the counters.
+func (st *DirectMapped) Reset() {
+	st.Flush()
+	st.counters = Counters{}
+	st.perSet.Reset()
+}
+
+// Flush empties every line, discarding dirty ones without a writeback,
+// and keeps the counters.
+func (st *DirectMapped) Flush() { clear(st.lines) }
+
+// record counts one access of the generic set-associative loop, which
+// shares the store's counters but fills its own ways.
+func (st *DirectMapped) record(set int, res AccessResult) {
+	st.counters.Add(res)
+	st.perSet.Accesses[set]++
+	if res.Hit {
+		st.perSet.Hits[set]++
+	} else {
+		st.perSet.Misses[set]++
+	}
+}
+
+// replayBatch replays batch in chunks of len(setBuf): one IndexBatch
 // call, then the kernel.  sc is nil for a live cache.
-func (st *lineState) replayBatchDM(f indexing.Func, offsetBits uint, batch []trace.Access, setBuf []int32, sc *DMScratch) {
+func (st *DirectMapped) replayBatch(f indexing.Func, offsetBits uint, batch []trace.Access, setBuf []int32, sc *DMScratch) {
 	for len(batch) > 0 {
 		n := min(len(batch), len(setBuf))
 		indexing.IndexBatch(f, batch[:n], setBuf)
@@ -34,7 +104,7 @@ func (st *lineState) replayBatchDM(f indexing.Func, offsetBits uint, batch []tra
 // provisional cold miss against the line the previous segments left.
 //
 //lint:hotpath the direct-mapped replay inner loop, live and sharded
-func (st *lineState) replayDM(batch []trace.Access, sets []int32, offsetBits uint, sc *DMScratch) {
+func (st *DirectMapped) replayDM(batch []trace.Access, sets []int32, offsetBits uint, sc *DMScratch) {
 	lines := st.lines
 	perAcc, perHit, perMiss := st.perSet.Accesses, st.perSet.Hits, st.perSet.Misses
 	sets = sets[:len(batch)]

@@ -63,8 +63,8 @@ const (
 // is sized for one cache's set count and reusable via Reset.  It owns its
 // set-number buffer, so concurrent scratch replays only read the Cache.
 type DMScratch struct {
-	lineState // segment-local lines and counters
-	setBuf    []int32
+	store  DirectMapped // segment-local lines and counters
+	setBuf []int32
 
 	firstBlock []uint64 // block of the set's first touch
 	res0       []uint8  // residency-0 state per set
@@ -76,7 +76,7 @@ type DMScratch struct {
 func (c *Cache) NewDMScratch() *DMScratch {
 	n := c.layout.Sets()
 	return &DMScratch{
-		lineState:  lineState{lines: make([]Line, n), perSet: NewPerSet(n)},
+		store:      NewDirectMapped(n),
 		setBuf:     make([]int32, trace.DefaultBatch),
 		firstBlock: make([]uint64, n),
 		res0:       make([]uint8, n),
@@ -86,12 +86,13 @@ func (c *Cache) NewDMScratch() *DMScratch {
 
 // Reset clears the scratch for the next segment.
 func (s *DMScratch) Reset() {
-	s.counters = Counters{}
+	st := &s.store
+	st.counters = Counters{}
 	for _, set := range s.touched[:s.nTouched] {
-		s.perSet.Accesses[set] = 0
-		s.perSet.Hits[set] = 0
-		s.perSet.Misses[set] = 0
-		s.lines[set] = Line{}
+		st.perSet.Accesses[set] = 0
+		st.perSet.Hits[set] = 0
+		st.perSet.Misses[set] = 0
+		st.lines[set] = Line{}
 		s.res0[set] = res0Resident
 	}
 	s.nTouched = 0
@@ -108,7 +109,7 @@ func (c *Cache) ReplaySegmentScratch(r trace.BatchReader, buf []trace.Access, s 
 	}
 	for {
 		n, err := r.ReadBatch(buf)
-		s.replayBatchDM(c.index, c.layout.OffsetBits, buf[:n], s.setBuf, s)
+		s.store.replayBatch(c.index, c.layout.OffsetBits, buf[:n], s.setBuf, s)
 		if n == 0 {
 			if err == nil || errors.Is(err, io.EOF) {
 				return nil
@@ -123,45 +124,46 @@ func (c *Cache) ReplaySegmentScratch(r trace.BatchReader, buf []trace.Access, s 
 // line state.  Segments must be stitched serially in trace order; the
 // merge loop touches only the sets the segment accessed.
 func (c *Cache) StitchSegment(s *DMScratch) {
-	c.counters.Accesses += s.counters.Accesses
-	c.counters.Hits += s.counters.Hits
-	c.counters.PrimaryHits += s.counters.PrimaryHits
-	c.counters.Misses += s.counters.Misses
-	c.counters.Evictions += s.counters.Evictions
-	c.counters.Writebacks += s.counters.Writebacks
+	live, sc := &c.store, &s.store
+	live.counters.Accesses += sc.counters.Accesses
+	live.counters.Hits += sc.counters.Hits
+	live.counters.PrimaryHits += sc.counters.PrimaryHits
+	live.counters.Misses += sc.counters.Misses
+	live.counters.Evictions += sc.counters.Evictions
+	live.counters.Writebacks += sc.counters.Writebacks
 	//lint:hotpath boundary merge loop of the sharded replay
 	for _, set := range s.touched[:s.nTouched] {
-		c.perSet.Accesses[set] += s.perSet.Accesses[set]
-		c.perSet.Hits[set] += s.perSet.Hits[set]
-		c.perSet.Misses[set] += s.perSet.Misses[set]
+		live.perSet.Accesses[set] += sc.perSet.Accesses[set]
+		live.perSet.Hits[set] += sc.perSet.Hits[set]
+		live.perSet.Misses[set] += sc.perSet.Misses[set]
 
-		prior := c.lines[set]
+		prior := live.lines[set]
 		carried := false
 		switch {
 		case prior.Valid && prior.Block == s.firstBlock[set]:
 			// The provisional cold miss was a hit.
-			c.counters.Misses--
-			c.counters.Hits++
-			c.counters.PrimaryHits++
-			c.perSet.Misses[set]--
-			c.perSet.Hits[set]++
+			live.counters.Misses--
+			live.counters.Hits++
+			live.counters.PrimaryHits++
+			live.perSet.Misses[set]--
+			live.perSet.Hits[set]++
 			carried = prior.Dirty
 		case prior.Valid:
-			c.counters.Evictions++
+			live.counters.Evictions++
 			if prior.Dirty {
-				c.counters.Writebacks++
+				live.counters.Writebacks++
 			}
 		}
 		if carried && s.res0[set] == res0EvictedClean {
 			// Residency 0 inherited the prior line's dirt, was modelled
 			// clean locally, and left the cache without a writeback: the
 			// stitch owes one.
-			c.counters.Writebacks++
+			live.counters.Writebacks++
 		}
-		final := s.lines[set]
+		final := sc.lines[set]
 		if carried && s.res0[set] == res0Resident {
 			final.Dirty = true
 		}
-		c.lines[set] = final
+		live.lines[set] = final
 	}
 }

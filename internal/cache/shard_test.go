@@ -44,13 +44,13 @@ func assertShardMatchesSerial(t *testing.T, mk func() *Cache, tr trace.Trace, se
 	sharded := mk()
 	replayShardedForTest(t, sharded, tr, segLen)
 
-	if serial.counters != sharded.counters {
-		t.Fatalf("counters diverge\nserial:  %+v\nsharded: %+v", serial.counters, sharded.counters)
+	if serial.store.counters != sharded.store.counters {
+		t.Fatalf("counters diverge\nserial:  %+v\nsharded: %+v", serial.store.counters, sharded.store.counters)
 	}
-	if !reflect.DeepEqual(serial.perSet, sharded.perSet) {
+	if !reflect.DeepEqual(serial.store.perSet, sharded.store.perSet) {
 		t.Fatal("per-set counts diverge")
 	}
-	if !reflect.DeepEqual(serial.lines, sharded.lines) {
+	if !reflect.DeepEqual(serial.store.lines, sharded.store.lines) {
 		t.Fatal("final line states diverge")
 	}
 }

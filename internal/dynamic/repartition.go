@@ -50,6 +50,7 @@ type RepartitionConfig struct {
 // block addresses, a remapping never produces a false hit — blocks left
 // behind by a moved granule either re-hit exactly or miss and refill.
 type RepartitionCache struct {
+	cache.DirectMapped
 	name     string
 	layout   addr.Layout
 	by       PartitionBy
@@ -59,14 +60,10 @@ type RepartitionCache struct {
 
 	counts []int // granules currently owned by each partition
 	starts []int // first granule of each partition (prefix sums of counts)
-	lines  []cache.Line
 
 	windowMisses []uint64
 	windowTotal  uint64
 	resizes      uint64
-
-	counters cache.Counters
-	perSet   cache.PerSet
 }
 
 // NewRepartitionCache validates the configuration against the layout and
@@ -106,14 +103,15 @@ func NewRepartitionCache(l addr.Layout, cfg RepartitionConfig) (*RepartitionCach
 		return nil, fmt.Errorf("dynamic: granule count %d must divide %d sets", cfg.Granules, sets)
 	}
 	r := &RepartitionCache{
-		name:     fmt.Sprintf("repartition/%s/%dx%d/%d", cfg.By, cfg.Partitions, cfg.Granules, cfg.Interval),
-		layout:   l,
-		by:       cfg.By,
-		parts:    cfg.Partitions,
-		interval: cfg.Interval,
-		gsize:    sets / cfg.Granules,
-		counts:   make([]int, cfg.Partitions),
-		starts:   make([]int, cfg.Partitions),
+		DirectMapped: cache.NewDirectMapped(sets),
+		name:         fmt.Sprintf("repartition/%s/%dx%d/%d", cfg.By, cfg.Partitions, cfg.Granules, cfg.Interval),
+		layout:       l,
+		by:           cfg.By,
+		parts:        cfg.Partitions,
+		interval:     cfg.Interval,
+		gsize:        sets / cfg.Granules,
+		counts:       make([]int, cfg.Partitions),
+		starts:       make([]int, cfg.Partitions),
 	}
 	for p := range r.counts {
 		r.counts[p] = cfg.Granules / cfg.Partitions
@@ -131,9 +129,7 @@ func (r *RepartitionCache) Sets() int { return r.layout.Sets() }
 // Reset implements cache.Model: contents, counters, the adaptation window
 // and the partition map all return to their initial state.
 func (r *RepartitionCache) Reset() {
-	r.lines = make([]cache.Line, r.layout.Sets())
-	r.counters = cache.Counters{}
-	r.perSet = cache.NewPerSet(r.layout.Sets())
+	r.DirectMapped.Reset()
 	r.windowMisses = make([]uint64, r.parts)
 	r.windowTotal = 0
 	r.resizes = 0
@@ -192,42 +188,11 @@ func (r *RepartitionCache) PartitionSets() []int {
 // Resizes returns how many granule moves the adaptation has performed.
 func (r *RepartitionCache) Resizes() uint64 { return r.resizes }
 
-// Counters implements cache.Model.
-func (r *RepartitionCache) Counters() cache.Counters { return r.counters }
-
-// PerSet implements cache.Model.
-func (r *RepartitionCache) PerSet() cache.PerSet { return r.perSet.Clone() }
-
 // Access implements cache.Model.
 func (r *RepartitionCache) Access(a trace.Access) cache.AccessResult {
-	p := r.partitionOf(a)
-	set := r.starts[p]*r.gsize + int(r.layout.Index(a.Addr))%(r.counts[p]*r.gsize)
-	block := r.layout.Block(a.Addr)
-	store := a.Kind == trace.Write
-
-	res := cache.AccessResult{}
-	ln := &r.lines[set]
-	if ln.Valid && ln.Block == block {
-		res = cache.AccessResult{Hit: true, HitCycles: 1}
-		if store {
-			ln.Dirty = true
-		}
-	} else {
-		if ln.Valid {
-			res.Evicted = true
-			res.EvictedBlock = ln.Block
-			res.Writeback = ln.Dirty
-		}
-		*ln = cache.Line{Valid: true, Block: block, Dirty: store}
-	}
-
-	r.counters.Add(res)
-	r.perSet.Accesses[set]++
-	if res.Hit {
-		r.perSet.Hits[set]++
-	} else {
-		r.perSet.Misses[set]++
-		r.windowMisses[p]++
+	res := r.DirectMapped.Access(r.SetFor(a), a, r.layout.OffsetBits)
+	if !res.Hit {
+		r.windowMisses[r.partitionOf(a)]++
 		r.windowTotal++
 		if r.windowTotal >= r.interval {
 			r.evolve()

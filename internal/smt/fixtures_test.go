@@ -9,7 +9,7 @@ import (
 // validate configs; tests build known-good fixtures and want one-liners, so
 // these panic on the (impossible) error instead.
 
-func mustSharedIndexCache(l addr.Layout, funcs []indexing.Func) *SharedIndexCache {
+func mustSharedIndexCache(l addr.Layout, funcs []indexing.Func) *SharedCache {
 	s, err := NewSharedIndexCache(l, funcs)
 	if err != nil {
 		panic(err)
@@ -17,7 +17,7 @@ func mustSharedIndexCache(l addr.Layout, funcs []indexing.Func) *SharedIndexCach
 	return s
 }
 
-func mustPartitionedCache(l addr.Layout, threads int) *PartitionedCache {
+func mustPartitionedCache(l addr.Layout, threads int) *SharedCache {
 	p, err := NewPartitionedCache(l, threads)
 	if err != nil {
 		panic(err)

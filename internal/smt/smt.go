@@ -5,10 +5,12 @@
 // Peir-style SHT/OUT tables so one thread's displaced blocks can occupy
 // another's cold sets (Figure 14, the "adaptive partitioned" scheme).
 //
-// The paper uses M-Sim for these runs; our substitute interleaves
-// per-thread traces (trace.RoundRobin / trace.Stochastic) into one shared
-// reference stream, which preserves everything the studied schemes can
-// see: which thread issues which address in which order.
+// The paper uses M-Sim for these runs.  Our substitute replays one shared
+// reference stream whose accesses carry their hardware thread id, which
+// preserves everything the studied schemes can see: which thread issues
+// which address in which order.  The models here do no interleaving
+// themselves; trace.RoundRobinBatch (and the registry's interleave
+// workload kind) builds that stream from per-thread traces.
 package smt
 
 import (
@@ -21,30 +23,39 @@ import (
 	"cacheuniformity/internal/trace"
 )
 
-// SharedIndexCache is a direct-mapped cache shared by several hardware
-// threads, where each thread uses its own index function — the paper's
-// "multiple indexing schemes within a single cache system" (Figure 5,
-// evaluated in Figure 13 with distinct odd multipliers per thread).
+// SharedCache is a direct-mapped, write-back, write-allocate L1 shared by
+// several hardware threads.  It differs from a plain direct-mapped cache
+// only in its placement rule, which sees the access's thread id as well as
+// its address.
 //
 // Threads in these experiments run disjoint address spaces, so a block is
-// only ever looked up under its owner's mapping; the full block-address
-// tag keeps correctness even if mappings disagree.
-type SharedIndexCache struct {
+// only ever looked up under its owner's placement; the full block-address
+// tag keeps correctness even if placements disagree.
+type SharedCache struct {
+	cache.DirectMapped
 	name   string
 	layout addr.Layout
-	// funcs[i] is the index function for thread i; threads beyond the
-	// slice use funcs[0].
-	funcs []indexing.Func
-	lines []cache.Line
-
-	counters  cache.Counters
-	perSet    cache.PerSet
-	perThread *ThreadCounters
+	place  func(trace.Access) int
+	setBuf []int32
 }
 
-// NewSharedIndexCache builds the shared cache.  funcs must be non-empty;
-// every function's range must fit the layout.
-func NewSharedIndexCache(l addr.Layout, funcs []indexing.Func) (*SharedIndexCache, error) {
+func newSharedCache(l addr.Layout, name string, place func(trace.Access) int) *SharedCache {
+	return &SharedCache{
+		DirectMapped: cache.NewDirectMapped(l.Sets()),
+		name:         name,
+		layout:       l,
+		place:        place,
+		setBuf:       make([]int32, trace.DefaultBatch),
+	}
+}
+
+// NewSharedIndexCache builds a shared cache where each thread uses its own
+// index function — the paper's "multiple indexing schemes within a single
+// cache system" (Figure 5, evaluated in Figure 13 with distinct odd
+// multipliers per thread).  funcs[i] is thread i's function; threads
+// beyond the slice use funcs[0].  funcs must be non-empty, and every
+// function's range must fit the layout.
+func NewSharedIndexCache(l addr.Layout, funcs []indexing.Func) (*SharedCache, error) {
 	if len(funcs) == 0 {
 		return nil, fmt.Errorf("smt: need at least one index function")
 	}
@@ -58,192 +69,64 @@ func NewSharedIndexCache(l addr.Layout, funcs []indexing.Func) (*SharedIndexCach
 		}
 		name += "/" + f.Name()
 	}
-	s := &SharedIndexCache{name: name, layout: l, funcs: funcs}
-	s.Reset()
-	return s, nil
-}
-
-// Name implements cache.Model.
-func (s *SharedIndexCache) Name() string { return s.name }
-
-// Sets implements cache.Model.
-func (s *SharedIndexCache) Sets() int { return s.layout.Sets() }
-
-// Reset implements cache.Model.
-func (s *SharedIndexCache) Reset() {
-	s.lines = make([]cache.Line, s.layout.Sets())
-	s.counters = cache.Counters{}
-	s.perSet = cache.NewPerSet(s.layout.Sets())
-	if s.perThread == nil {
-		s.perThread = newThreadCounters()
-	} else {
-		s.perThread.reset()
-	}
-}
-
-// PerThread exposes the per-hardware-thread counters.
-func (s *SharedIndexCache) PerThread() *ThreadCounters { return s.perThread }
-
-// Counters implements cache.Model.
-func (s *SharedIndexCache) Counters() cache.Counters { return s.counters }
-
-// PerSet implements cache.Model.
-func (s *SharedIndexCache) PerSet() cache.PerSet { return s.perSet.Clone() }
-
-// funcFor selects the thread's index function.
-func (s *SharedIndexCache) funcFor(thread uint8) indexing.Func {
-	if int(thread) < len(s.funcs) {
-		return s.funcs[thread]
-	}
-	return s.funcs[0]
-}
-
-// Access implements cache.Model.
-func (s *SharedIndexCache) Access(a trace.Access) cache.AccessResult {
-	set := s.funcFor(a.Thread).Index(a.Addr)
-	block := s.layout.Block(a.Addr)
-	store := a.Kind == trace.Write
-
-	res := cache.AccessResult{}
-	ln := &s.lines[set]
-	if ln.Valid && ln.Block == block {
-		res = cache.AccessResult{Hit: true, HitCycles: 1}
-		if store {
-			ln.Dirty = true
+	return newSharedCache(l, name, func(a trace.Access) int {
+		if int(a.Thread) < len(funcs) {
+			return funcs[a.Thread].Index(a.Addr)
 		}
-	} else {
-		if ln.Valid {
-			res.Evicted = true
-			res.EvictedBlock = ln.Block
-			res.Writeback = ln.Dirty
-		}
-		*ln = cache.Line{Valid: true, Block: block, Dirty: store}
-	}
-
-	s.counters.Add(res)
-	s.perThread.add(a.Thread, res)
-	s.perSet.Accesses[set]++
-	if res.Hit {
-		s.perSet.Hits[set]++
-	} else {
-		s.perSet.Misses[set]++
-	}
-	return res
+		return funcs[0].Index(a.Addr)
+	}), nil
 }
 
-// AccessBatch implements cache.BatchAccessor.
-//
-//lint:hotpath SMT replay inner loop
-func (s *SharedIndexCache) AccessBatch(batch []trace.Access) {
-	for _, a := range batch {
-		s.Access(a)
+// NewPartitionedCache builds a shared cache whose sets are split evenly
+// among threads: thread i may only use sets [i·S/T, (i+1)·S/T), and
+// thread ids wrap modulo threads.  This is the paper's baseline for
+// Figure 14 ("we divided the cache equally among the two threads") —
+// thread isolation without adaptivity.  threads must divide the set
+// count.
+func NewPartitionedCache(l addr.Layout, threads int) (*SharedCache, error) {
+	place, err := partitionRule(l, threads)
+	if err != nil {
+		return nil, err
 	}
+	return newSharedCache(l, fmt.Sprintf("partitioned/%d", threads), place), nil
 }
 
-// PartitionedCache statically splits a direct-mapped cache's sets evenly
-// among threads: thread i may only use sets [i·S/T, (i+1)·S/T).  This is
-// the paper's baseline for Figure 14 ("we divided the cache equally among
-// the two threads") — thread isolation without adaptivity.
-type PartitionedCache struct {
-	name    string
-	layout  addr.Layout
-	threads int
-	lines   []cache.Line
-
-	counters  cache.Counters
-	perSet    cache.PerSet
-	perThread *ThreadCounters
-}
-
-// NewPartitionedCache splits the layout's sets among threads partitions.
-// threads must divide the set count.
-func NewPartitionedCache(l addr.Layout, threads int) (*PartitionedCache, error) {
+// partitionRule returns the partitioned placement: the conventional index
+// folded into the thread's share of the sets.
+func partitionRule(l addr.Layout, threads int) (func(trace.Access) int, error) {
 	if threads <= 0 || l.Sets()%threads != 0 {
 		return nil, fmt.Errorf("smt: %d threads must evenly divide %d sets", threads, l.Sets())
 	}
-	p := &PartitionedCache{
-		name:    fmt.Sprintf("partitioned/%d", threads),
-		layout:  l,
-		threads: threads,
-	}
-	p.Reset()
-	return p, nil
+	partSets := l.Sets() / threads
+	return func(a trace.Access) int {
+		t := int(a.Thread) % threads
+		return t*partSets + int(l.Index(a.Addr))%partSets
+	}, nil
 }
 
 // Name implements cache.Model.
-func (p *PartitionedCache) Name() string { return p.name }
+func (s *SharedCache) Name() string { return s.name }
 
 // Sets implements cache.Model.
-func (p *PartitionedCache) Sets() int { return p.layout.Sets() }
-
-// Reset implements cache.Model.
-func (p *PartitionedCache) Reset() {
-	p.lines = make([]cache.Line, p.layout.Sets())
-	p.counters = cache.Counters{}
-	p.perSet = cache.NewPerSet(p.layout.Sets())
-	if p.perThread == nil {
-		p.perThread = newThreadCounters()
-	} else {
-		p.perThread.reset()
-	}
-}
-
-// PerThread exposes the per-hardware-thread counters.
-func (p *PartitionedCache) PerThread() *ThreadCounters { return p.perThread }
-
-// Counters implements cache.Model.
-func (p *PartitionedCache) Counters() cache.Counters { return p.counters }
-
-// PerSet implements cache.Model.
-func (p *PartitionedCache) PerSet() cache.PerSet { return p.perSet.Clone() }
-
-// SetFor returns the partitioned placement for an access: the conventional
-// index folded into the thread's partition.
-func (p *PartitionedCache) SetFor(a trace.Access) int {
-	partSets := p.layout.Sets() / p.threads
-	t := int(a.Thread) % p.threads
-	return t*partSets + int(p.layout.Index(a.Addr))%partSets
-}
+func (s *SharedCache) Sets() int { return s.layout.Sets() }
 
 // Access implements cache.Model.
-func (p *PartitionedCache) Access(a trace.Access) cache.AccessResult {
-	set := p.SetFor(a)
-	block := p.layout.Block(a.Addr)
-	store := a.Kind == trace.Write
-
-	res := cache.AccessResult{}
-	ln := &p.lines[set]
-	if ln.Valid && ln.Block == block {
-		res = cache.AccessResult{Hit: true, HitCycles: 1}
-		if store {
-			ln.Dirty = true
-		}
-	} else {
-		if ln.Valid {
-			res.Evicted = true
-			res.EvictedBlock = ln.Block
-			res.Writeback = ln.Dirty
-		}
-		*ln = cache.Line{Valid: true, Block: block, Dirty: store}
-	}
-
-	p.counters.Add(res)
-	p.perThread.add(a.Thread, res)
-	p.perSet.Accesses[set]++
-	if res.Hit {
-		p.perSet.Hits[set]++
-	} else {
-		p.perSet.Misses[set]++
-	}
-	return res
+func (s *SharedCache) Access(a trace.Access) cache.AccessResult {
+	return s.DirectMapped.Access(s.place(a), a, s.layout.OffsetBits)
 }
 
-// AccessBatch implements cache.BatchAccessor.
+// AccessBatch implements cache.BatchAccessor: the placement rule fills
+// the set buffer, then the store replays the chunk.
 //
 //lint:hotpath SMT replay inner loop
-func (p *PartitionedCache) AccessBatch(batch []trace.Access) {
-	for _, a := range batch {
-		p.Access(a)
+func (s *SharedCache) AccessBatch(batch []trace.Access) {
+	for len(batch) > 0 {
+		n := min(len(batch), len(s.setBuf))
+		for i, a := range batch[:n] {
+			s.setBuf[i] = int32(s.place(a))
+		}
+		s.Replay(batch[:n], s.setBuf[:n], s.layout.OffsetBits)
+		batch = batch[n:]
 	}
 }
 
@@ -253,13 +136,9 @@ func (p *PartitionedCache) AccessBatch(batch []trace.Access) {
 // shelter in a disposable line of another's — "increasing the cache sizes
 // available to each thread adaptively".
 func NewAdaptivePartitioned(l addr.Layout, threads int, cfg assoc.AdaptiveConfig) (*assoc.AdaptiveCache, error) {
-	if threads <= 0 || l.Sets()%threads != 0 {
-		return nil, fmt.Errorf("smt: %d threads must evenly divide %d sets", threads, l.Sets())
+	place, err := partitionRule(l, threads)
+	if err != nil {
+		return nil, err
 	}
-	partSets := l.Sets() / threads
-	indexer := func(a trace.Access) int {
-		t := int(a.Thread) % threads
-		return t*partSets + int(l.Index(a.Addr))%partSets
-	}
-	return assoc.NewAdaptiveCacheIndexer(l, fmt.Sprintf("adaptive_partitioned/%d", threads), indexer, cfg)
+	return assoc.NewAdaptiveCacheIndexer(l, fmt.Sprintf("adaptive_partitioned/%d", threads), place, cfg)
 }

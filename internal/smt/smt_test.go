@@ -186,3 +186,19 @@ func TestSharedIndexCacheReset(t *testing.T) {
 		t.Error("contents survived Reset")
 	}
 }
+
+func TestSharedCacheAccessBatchAllocatesNothing(t *testing.T) {
+	tr := workload.MustLookup("fft").Generate(1, 2*trace.DefaultBatch+100)
+	for i := range tr {
+		tr[i].Thread = uint8(i % 3)
+	}
+	for _, m := range []*SharedCache{
+		mustSharedIndexCache(l32k, []indexing.Func{indexing.NewModulo(l32k), indexing.MustOddMultiplier(l32k, 21)}),
+		mustPartitionedCache(l32k, 2),
+	} {
+		m.AccessBatch(tr) // warm
+		if n := testing.AllocsPerRun(10, func() { m.AccessBatch(tr) }); n != 0 {
+			t.Errorf("%s: warm AccessBatch allocates %v times per call", m.Name(), n)
+		}
+	}
+}
