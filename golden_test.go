@@ -16,6 +16,7 @@ import (
 	"cacheuniformity/internal/assoc"
 	"cacheuniformity/internal/cache"
 	"cacheuniformity/internal/core"
+	"cacheuniformity/internal/dynamic"
 	"cacheuniformity/internal/experiments"
 	"cacheuniformity/internal/indexing"
 	"cacheuniformity/internal/registry"
@@ -91,7 +92,7 @@ type goldenModel struct {
 
 // goldenModels lists every registered scheme kind at its default
 // declaration, plus the SMT models the Figure 13 and 14 experiments
-// build by hand.
+// build by hand and the hand-built variants of goldenVariants.
 func goldenModels(l addr.Layout, profile trace.StreamFunc) []goldenModel {
 	var out []goldenModel
 	for _, k := range registry.SchemeKinds() {
@@ -114,6 +115,46 @@ func goldenModels(l addr.Layout, profile trace.StreamFunc) []goldenModel {
 		ap, err := smt.NewAdaptivePartitioned(l, threads, assoc.AdaptiveConfig{})
 		out = append(out, goldenModel{fmt.Sprintf("smt_adaptive_partitioned/%d", threads), ap, err})
 	}
+	return append(out, goldenVariants(l)...)
+}
+
+// goldenVariants builds the per-access models away from their registry
+// defaults: other primary indexes, longer partner chains, tables small
+// enough to overflow, more banks and ways, another replacement policy,
+// shorter epochs and a smaller fully-associative capacity.
+func goldenVariants(l addr.Layout) []goldenModel {
+	var out []goldenModel
+	add := func(name string, m cache.Model, err error) {
+		out = append(out, goldenModel{name, m, err})
+	}
+	xor, odd := indexing.NewXOR(l), indexing.MustOddMultiplier(l, 21)
+	col, err := assoc.NewColumnAssociative(l, xor)
+	add("column_associative/xor", col, err)
+	col, err = assoc.NewColumnAssociative(l, odd)
+	add("column_associative/odd_multiplier", col, err)
+	pseudo, err := assoc.NewPseudoAssociative(l, xor)
+	add("pseudo_associative/xor", pseudo, err)
+	partner, err := assoc.NewPartnerCache(l, nil, assoc.PartnerConfig{MaxChain: 3, Epoch: 512})
+	add("partner/chain3_epoch512", partner, err)
+	adaptive, err := assoc.NewAdaptiveCache(l, nil, assoc.AdaptiveConfig{SHTEntries: 8, OUTEntries: 8})
+	add("adaptive/sht8_out8", adaptive, err)
+	bank, err := addr.NewLayout(l.BlockBytes(), l.Sets()/4, l.AddressBits)
+	if err != nil {
+		panic(err) // the golden layout has sets to spare
+	}
+	skewed, err := assoc.NewSkewedAssociative(bank, []indexing.Func{
+		indexing.NewModulo(bank), indexing.NewXOR(bank),
+		indexing.MustOddMultiplier(bank, 9), indexing.MustOddMultiplier(bank, 21),
+	})
+	add("skewed/4banks", skewed, err)
+	bc, err := assoc.NewBCache(l, assoc.BCacheConfig{MappingFactor: 4, Associativity: 4})
+	add("b_cache/mf4_bas4", bc, err)
+	bc, err = assoc.NewBCache(l, assoc.BCacheConfig{Replacement: cache.FIFO{}})
+	add("b_cache/fifo", bc, err)
+	temp, err := dynamic.NewTemperatureCache(l, dynamic.TemperatureConfig{Epoch: 1024})
+	add("temperature/epoch1024", temp, err)
+	fa, err := cache.NewFullyAssociative(l, 64, cache.LRU{})
+	add("fully_associative/64", fa, err)
 	return out
 }
 
