@@ -51,6 +51,7 @@ type adaptiveLine struct {
 // being evicted — selective victim caching inside the cache's own cold
 // sets.
 type AdaptiveCache struct {
+	cache.Tally
 	name   string
 	layout addr.Layout
 	// indexer maps an access to its primary set.  It sees the whole access
@@ -64,32 +65,14 @@ type AdaptiveCache struct {
 	out *outDir  // block → sheltering set
 
 	scan int // rotating pointer for the disposable-line search
-
-	counters cache.Counters
-	perSet   cache.PerSet
 }
 
 // NewAdaptiveCache builds an adaptive cache over the layout with the given
 // table sizes.  idx selects the primary location (nil = conventional).
 func NewAdaptiveCache(l addr.Layout, idx indexing.Func, cfg AdaptiveConfig) (*AdaptiveCache, error) {
-	sets := l.Sets()
-	if cfg.SHTEntries == 0 {
-		cfg.SHTEntries = sets * 3 / 8
-	}
-	if cfg.OUTEntries == 0 {
-		cfg.OUTEntries = sets * 4 / 16
-	}
-	if cfg.SHTEntries <= 0 || cfg.SHTEntries > sets {
-		return nil, fmt.Errorf("assoc: SHT size %d out of range (1..%d)", cfg.SHTEntries, sets)
-	}
-	if cfg.OUTEntries <= 0 || cfg.OUTEntries > sets {
-		return nil, fmt.Errorf("assoc: OUT size %d out of range (1..%d)", cfg.OUTEntries, sets)
-	}
-	if idx == nil {
-		idx = indexing.NewModulo(l)
-	}
-	if idx.Sets() > sets {
-		return nil, fmt.Errorf("assoc: index function reaches %d sets, layout has %d", idx.Sets(), sets)
+	idx, err := primaryIndex(l, idx)
+	if err != nil {
+		return nil, err
 	}
 	return NewAdaptiveCacheIndexer(l, "adaptive/"+idx.Name(),
 		func(a trace.Access) int { return idx.Index(a.Addr) }, cfg)
@@ -97,8 +80,8 @@ func NewAdaptiveCache(l addr.Layout, idx indexing.Func, cfg AdaptiveConfig) (*Ad
 
 // NewAdaptiveCacheIndexer builds an adaptive cache whose primary placement
 // is an arbitrary access-to-set function; used by the SMT adaptive
-// partitioned scheme (Figure 14).  cfg sizes must already be validated by
-// the caller or left at 0 for defaults.
+// partitioned scheme (Figure 14).  cfg sizes left at 0 take the paper's
+// defaults.
 func NewAdaptiveCacheIndexer(l addr.Layout, name string, indexer func(trace.Access) int, cfg AdaptiveConfig) (*AdaptiveCache, error) {
 	sets := l.Sets()
 	if cfg.SHTEntries == 0 {
@@ -139,15 +122,8 @@ func (a *AdaptiveCache) Reset() {
 	a.sht.reset()
 	a.out.reset()
 	a.scan = 0
-	a.counters = cache.Counters{}
-	a.perSet = cache.NewPerSet(a.layout.Sets())
+	a.Tally = cache.NewTally(a.layout.Sets())
 }
-
-// Counters implements cache.Model.
-func (a *AdaptiveCache) Counters() cache.Counters { return a.counters }
-
-// PerSet implements cache.Model.
-func (a *AdaptiveCache) PerSet() cache.PerSet { return a.perSet.Clone() }
 
 // touchSHT promotes set to MRU; a set falling off the SHT tail loses its
 // protection (the line's disposable bit is set).
@@ -246,13 +222,7 @@ func (a *AdaptiveCache) Access(acc trace.Access) cache.AccessResult {
 		a.touchSHT(primary)
 	}
 
-	a.counters.Add(res)
-	a.perSet.Accesses[statSet]++
-	if res.Hit {
-		a.perSet.Hits[statSet]++
-	} else {
-		a.perSet.Misses[statSet]++
-	}
+	a.Record(statSet, res)
 	return res
 }
 
@@ -268,10 +238,7 @@ func (a *AdaptiveCache) retireShelter(block uint64, set int) {
 	if !ln.valid || ln.block != block {
 		return
 	}
-	a.counters.Evictions++
-	if ln.dirty {
-		a.counters.Writebacks++
-	}
+	a.RecordEviction(ln.dirty)
 	*ln = adaptiveLine{}
 }
 

@@ -41,6 +41,8 @@ type BCacheConfig struct {
 // distribution has the same 2^OI buckets as the direct-mapped baseline and
 // kurtosis/skewness comparisons are apples-to-apples.
 type BCache struct {
+	// Tally counts per line: cluster c's way w is bucket c·ways+w.
+	cache.Tally
 	name     string
 	layout   addr.Layout
 	npiBits  uint
@@ -49,9 +51,6 @@ type BCache struct {
 	clusters [][]cache.Line
 	repl     []cache.SetPolicy
 	policy   cache.Policy
-
-	counters cache.Counters
-	perSet   cache.PerSet // per line
 }
 
 // NewBCache builds a balanced cache over the layout.
@@ -118,15 +117,8 @@ func (b *BCache) Reset() {
 		b.clusters[i], storage = storage[:b.ways:b.ways], storage[b.ways:]
 		b.repl[i] = b.policy.NewSet(b.ways)
 	}
-	b.counters = cache.Counters{}
-	b.perSet = cache.NewPerSet(b.layout.Sets())
+	b.Tally = cache.NewTally(b.layout.Sets())
 }
-
-// Counters implements cache.Model.
-func (b *BCache) Counters() cache.Counters { return b.counters }
-
-// PerSet implements cache.Model.
-func (b *BCache) PerSet() cache.PerSet { return b.perSet.Clone() }
 
 // cluster extracts the NPI field (the bits directly above the offset).
 func (b *BCache) cluster(a addr.Addr) int {
@@ -177,13 +169,6 @@ func (b *BCache) Access(a trace.Access) cache.AccessResult {
 		repl.Fill(way)
 	}
 
-	b.counters.Add(res)
-	li := b.lineIndex(cl, way)
-	b.perSet.Accesses[li]++
-	if res.Hit {
-		b.perSet.Hits[li]++
-	} else {
-		b.perSet.Misses[li]++
-	}
+	b.Record(b.lineIndex(cl, way), res)
 	return res
 }

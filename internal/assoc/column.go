@@ -1,12 +1,15 @@
 // Package assoc implements the programmable-associativity cache schemes of
 // Section III of the paper: the column-associative cache, the adaptive
 // group-associative cache, and the balanced cache (B-cache), plus the two
-// conceptual ancestors described in §1.2 (pseudo-associative hash-rehash
-// and the partner-index scheme of Figure 3).
+// conceptual ancestors described in §1.2 (pseudo-associative hash-rehash,
+// which is the column-associative cache without its rehash bit, and the
+// partner-index scheme of Figure 3).
 //
 // All models implement cache.Model, so the experiment framework can drive
 // them interchangeably with the plain set-associative caches and the
-// indexing schemes of package indexing.
+// indexing schemes of package indexing.  Each keeps its own lines, since
+// an access may probe or move a block between two sets, and counts every
+// access through an embedded cache.Tally.
 package assoc
 
 import (
@@ -46,17 +49,25 @@ type columnLine struct {
 // set is replaced immediately without a second probe: the rehash bit proves
 // the conventional owner is absent.
 //
+// Without the rehash bit (NewPseudoAssociative) the same array is the
+// hash-rehash pseudo-associative cache: every primary miss pays the second
+// probe, and any block found in the alternate location is a hit.
+//
 // For the Figure-8 hybrid experiments the primary index function is
 // pluggable; the alternate location still complements the MSB of whatever
 // index the function produced.
 type ColumnAssociative struct {
+	cache.Tally
 	name   string
 	layout addr.Layout
 	index  indexing.Func
 	lines  []columnLine
-
-	counters cache.Counters
-	perSet   cache.PerSet
+	// rehashBit enables the short-circuit on a primary slot that holds a
+	// rehashed block.  Without it every primary miss probes the alternate
+	// slot.  The rehash-hit test needs no mode: a line without the rehash
+	// bit always sits in its own block's primary slot, so a block found in
+	// its alternate slot always carries the bit.
+	rehashBit bool
 }
 
 // NewColumnAssociative builds a column-associative cache over the layout.
@@ -64,22 +75,41 @@ type ColumnAssociative struct {
 // index.  The layout must have at least two sets (the alternate location
 // complements the index MSB).
 func NewColumnAssociative(l addr.Layout, idx indexing.Func) (*ColumnAssociative, error) {
+	return newColumn(l, idx, "column_associative", true)
+}
+
+// NewPseudoAssociative builds the hash-rehash pseudo-associative cache the
+// paper describes in §1.2 as the conceptual basis of programmable
+// associativity: the column-associative cache without its rehash bit.
+// idx selects the primary location (nil = conventional modulo).
+func NewPseudoAssociative(l addr.Layout, idx indexing.Func) (*ColumnAssociative, error) {
+	return newColumn(l, idx, "pseudo_associative", false)
+}
+
+func newColumn(l addr.Layout, idx indexing.Func, kind string, rehashBit bool) (*ColumnAssociative, error) {
 	if l.IndexBits < 1 {
-		return nil, fmt.Errorf("assoc: column-associative cache needs ≥ 2 sets")
+		return nil, fmt.Errorf("assoc: %s cache needs ≥ 2 sets", kind)
 	}
+	idx, err := primaryIndex(l, idx)
+	if err != nil {
+		return nil, err
+	}
+	c := &ColumnAssociative{name: kind + "/" + idx.Name(), layout: l, index: idx, rehashBit: rehashBit}
+	c.Reset()
+	return c, nil
+}
+
+// primaryIndex returns the index function that picks an access's primary
+// set: idx, or the conventional modulo index when idx is nil.  idx must
+// not reach past the layout's sets.
+func primaryIndex(l addr.Layout, idx indexing.Func) (indexing.Func, error) {
 	if idx == nil {
-		idx = indexing.NewModulo(l)
+		return indexing.NewModulo(l), nil
 	}
 	if idx.Sets() > l.Sets() {
 		return nil, fmt.Errorf("assoc: index function reaches %d sets, layout has %d", idx.Sets(), l.Sets())
 	}
-	c := &ColumnAssociative{
-		name:   "column_associative/" + idx.Name(),
-		layout: l,
-		index:  idx,
-	}
-	c.Reset()
-	return c, nil
+	return idx, nil
 }
 
 // Name implements cache.Model.
@@ -91,15 +121,8 @@ func (c *ColumnAssociative) Sets() int { return c.layout.Sets() }
 // Reset implements cache.Model.
 func (c *ColumnAssociative) Reset() {
 	c.lines = make([]columnLine, c.layout.Sets())
-	c.counters = cache.Counters{}
-	c.perSet = cache.NewPerSet(c.layout.Sets())
+	c.Tally = cache.NewTally(c.layout.Sets())
 }
-
-// Counters implements cache.Model.
-func (c *ColumnAssociative) Counters() cache.Counters { return c.counters }
-
-// PerSet implements cache.Model.
-func (c *ColumnAssociative) PerSet() cache.PerSet { return c.perSet.Clone() }
 
 // alternate complements the most significant index bit.
 func (c *ColumnAssociative) alternate(set int) int {
@@ -126,7 +149,7 @@ func (c *ColumnAssociative) Access(a trace.Access) cache.AccessResult {
 			c.lines[primary].dirty = true
 		}
 
-	case c.lines[primary].rehash:
+	case c.rehashBit && c.lines[primary].rehash:
 		// The primary slot holds a rehashed (alien) block: a conventional
 		// owner cannot be elsewhere, so miss immediately and reclaim the
 		// slot for conventional use.
@@ -167,12 +190,6 @@ func (c *ColumnAssociative) Access(a trace.Access) cache.AccessResult {
 		c.lines[primary] = columnLine{valid: true, block: block, dirty: store}
 	}
 
-	c.counters.Add(res)
-	c.perSet.Accesses[statSet]++
-	if res.Hit {
-		c.perSet.Hits[statSet]++
-	} else {
-		c.perSet.Misses[statSet]++
-	}
+	c.Record(statSet, res)
 	return res
 }

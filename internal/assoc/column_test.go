@@ -178,3 +178,94 @@ func TestColumnAssociativeNeverWorseTwoProbeInvariant(t *testing.T) {
 		}
 	}
 }
+
+// The pseudo-associative cache is the column-associative one without its
+// rehash bit.
+
+func TestPseudoAssociativeConflictPair(t *testing.T) {
+	p, err := NewPseudoAssociative(l32k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := uint64(0), uint64(0x8000)
+	var tr trace.Trace
+	for i := 0; i < 100; i++ {
+		tr = append(tr, read(a), read(b))
+	}
+	ctr := cache.Run(p, tr)
+	if ctr.Misses > 3 {
+		t.Errorf("pseudo-associative missed %d times", ctr.Misses)
+	}
+}
+
+func TestPseudoAssociativeSwap(t *testing.T) {
+	p, _ := NewPseudoAssociative(l32k, nil)
+	a, b := uint64(0), uint64(0x8000)
+	p.Access(read(a))
+	p.Access(read(b)) // a displaced to alt
+	r := p.Access(read(a))
+	if !r.Hit || !r.SecondaryHit || r.HitCycles != ColumnRehashHitCycles {
+		t.Fatalf("alt hit: %+v", r)
+	}
+	// swapped back: direct hit now
+	if r = p.Access(read(a)); !r.Hit || r.SecondaryHit {
+		t.Errorf("post-swap: %+v", r)
+	}
+}
+
+func TestPseudoAssociativeAlwaysSecondProbeOnMiss(t *testing.T) {
+	// Unlike column-associative, there is no rehash bit: every miss pays
+	// the secondary probe once the primary is occupied... including cold
+	// misses in this model (the probe happens before the fill decision).
+	p, _ := NewPseudoAssociative(l32k, nil)
+	r := p.Access(read(0))
+	if r.Hit || !r.SecondaryProbe {
+		t.Errorf("cold miss: %+v", r)
+	}
+}
+
+func TestPseudoAssociativeVsColumnRehashBit(t *testing.T) {
+	// The column-associative rehash bit avoids useless second probes.
+	// Construct a stream of misses to sets holding rehashed blocks and
+	// compare SecondaryProbeMisses.
+	ca := mustColumnAssociative(l32k, nil)
+	pa, _ := NewPseudoAssociative(l32k, nil)
+	var tr trace.Trace
+	for i := 0; i < 50; i++ {
+		tr = append(tr, read(0), read(0x8000), read(512*32), read(512*32+0x8000))
+	}
+	cc := cache.Run(ca, tr)
+	pc := cache.Run(pa, tr)
+	if cc.SecondaryProbeMisses >= pc.SecondaryProbeMisses {
+		t.Errorf("column-assoc secondary-probe misses %d >= pseudo %d",
+			cc.SecondaryProbeMisses, pc.SecondaryProbeMisses)
+	}
+}
+
+func TestPseudoAssociativeErrors(t *testing.T) {
+	if _, err := NewPseudoAssociative(addr.MustLayout(32, 1, 32), nil); err == nil {
+		t.Error("single-set layout accepted")
+	}
+	big, _ := indexing.NewBitSelection("big", []uint{5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	if _, err := NewPseudoAssociative(l32k, big); err == nil {
+		t.Error("oversized index accepted")
+	}
+}
+
+func TestPseudoAssociativeResetAndPerSet(t *testing.T) {
+	p, _ := NewPseudoAssociative(l32k, nil)
+	p.Access(read(0))
+	p.Access(read(0x8000))
+	ps := p.PerSet()
+	var acc uint64
+	for _, v := range ps.Accesses {
+		acc += v
+	}
+	if acc != 2 {
+		t.Errorf("per-set accesses = %d", acc)
+	}
+	p.Reset()
+	if p.Counters().Accesses != 0 {
+		t.Error("counters survived Reset")
+	}
+}

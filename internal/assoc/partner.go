@@ -52,6 +52,7 @@ type partnerLine struct {
 // missing.  The chain behaves as an LRU list rooted at the primary line
 // (hits promote to the head); a hit at chain depth d costs d+1 cycles.
 type PartnerCache struct {
+	cache.Tally
 	name   string
 	layout addr.Layout
 	index  indexing.Func
@@ -65,11 +66,9 @@ type PartnerCache struct {
 
 	// chainBuf is chain()'s reusable scratch: chain is called on every
 	// access and its result is always consumed before the next call, so one
-	// buffer serves them all without per-access allocation.
-	chainBuf []int
-
-	counters cache.Counters
-	perSet   cache.PerSet
+	// buffer serves them all without per-access allocation.  growBuf and
+	// coldBuf are rebalance's, for the same reason.
+	chainBuf, growBuf, coldBuf []int
 }
 
 // NewPartnerCache builds the partner cache; idx selects the primary
@@ -93,11 +92,9 @@ func NewPartnerCache(l addr.Layout, idx indexing.Func, cfg PartnerConfig) (*Part
 	if cfg.MaxChain < 0 || cfg.MaxChain >= l.Sets() {
 		return nil, fmt.Errorf("assoc: chain length %d out of range", cfg.MaxChain)
 	}
-	if idx == nil {
-		idx = indexing.NewModulo(l)
-	}
-	if idx.Sets() > l.Sets() {
-		return nil, fmt.Errorf("assoc: index function reaches %d sets, layout has %d", idx.Sets(), l.Sets())
+	idx, err := primaryIndex(l, idx)
+	if err != nil {
+		return nil, err
 	}
 	p := &PartnerCache{name: "partner/" + idx.Name(), layout: l, index: idx, cfg: cfg}
 	p.Reset()
@@ -118,15 +115,8 @@ func (p *PartnerCache) Reset() {
 	p.epochMisses = make([]uint64, n)
 	p.epochPartnerHits = make([]uint64, n)
 	p.sinceEpoch = 0
-	p.counters = cache.Counters{}
-	p.perSet = cache.NewPerSet(n)
+	p.Tally = cache.NewTally(n)
 }
-
-// Counters implements cache.Model.
-func (p *PartnerCache) Counters() cache.Counters { return p.counters }
-
-// PerSet implements cache.Model.
-func (p *PartnerCache) PerSet() cache.PerSet { return p.perSet.Clone() }
 
 // chain returns the line indices of the chain rooted at head:
 // [head, partner, partner's partner, ...], bounded by MaxChain+1.  The
@@ -208,13 +198,9 @@ func (p *PartnerCache) Access(a trace.Access) cache.AccessResult {
 		p.lines[primary].Line = cache.Line{Valid: true, Block: block, Dirty: store}
 	}
 
-	p.counters.Add(res)
-	p.perSet.Accesses[statSet]++
+	p.Record(statSet, res)
 	p.epochAccesses[primary]++
-	if res.Hit {
-		p.perSet.Hits[statSet]++
-	} else {
-		p.perSet.Misses[statSet]++
+	if !res.Hit {
 		p.epochMisses[primary]++
 	}
 
@@ -248,7 +234,7 @@ func (p *PartnerCache) rebalance() {
 	// hitting in the chain — a chain that absorbed its conflict has low
 	// misses but high partner hits, and must not be dissolved for
 	// succeeding.
-	var wantGrow []int
+	wantGrow := p.growBuf[:0]
 	for s := 0; s < n; s++ {
 		if !p.lines[s].linked || p.lines[s].member {
 			continue
@@ -275,7 +261,7 @@ func (p *PartnerCache) rebalance() {
 	// Cold free lines, coldest-first by epoch accesses (stable order by
 	// set index for determinism).
 	free := func(s int) bool { return !p.lines[s].linked && !p.lines[s].member }
-	var cold []int
+	cold := p.coldBuf[:0]
 	if missMean > 0 {
 		for s := 0; s < n; s++ {
 			if free(s) && !hotStill(s) && float64(p.epochAccesses[s]) <= p.cfg.ColdFactor*accMean {
@@ -332,4 +318,5 @@ func (p *PartnerCache) rebalance() {
 		p.epochPartnerHits[s] = 0
 	}
 	p.sinceEpoch = 0
+	p.growBuf, p.coldBuf = wantGrow, cold
 }

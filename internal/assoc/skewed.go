@@ -23,15 +23,13 @@ import (
 // cannot keep set-local LRU because "the set" differs per way; Seznec's
 // pseudo-LRU needs extra state we model with the simple rotation).
 type SkewedAssociative struct {
+	cache.Tally
 	name   string
 	layout addr.Layout // layout of one way's bank
 	funcs  []indexing.Func
 	banks  [][]cache.Line
 
 	fill int // rotating fill pointer
-
-	counters cache.Counters
-	perSet   cache.PerSet
 }
 
 // NewSkewedAssociative builds a skewed cache with one bank per index
@@ -84,15 +82,8 @@ func (s *SkewedAssociative) Reset() {
 		s.banks[b] = make([]cache.Line, s.layout.Sets())
 	}
 	s.fill = 0
-	s.counters = cache.Counters{}
-	s.perSet = cache.NewPerSet(s.Sets())
+	s.Tally = cache.NewTally(s.Sets())
 }
-
-// Counters implements cache.Model.
-func (s *SkewedAssociative) Counters() cache.Counters { return s.counters }
-
-// PerSet implements cache.Model.
-func (s *SkewedAssociative) PerSet() cache.PerSet { return s.perSet.Clone() }
 
 // bucket flattens (bank, set) into the per-line statistics index.
 func (s *SkewedAssociative) bucket(bank, set int) int { return bank*s.layout.Sets() + set }
@@ -141,12 +132,6 @@ func (s *SkewedAssociative) Access(a trace.Access) cache.AccessResult {
 		statBucket = s.bucket(bank, set)
 	}
 
-	s.counters.Add(res)
-	s.perSet.Accesses[statBucket]++
-	if res.Hit {
-		s.perSet.Hits[statBucket]++
-	} else {
-		s.perSet.Misses[statBucket]++
-	}
+	s.Record(statBucket, res)
 	return res
 }

@@ -107,7 +107,7 @@ func New(cfg Config) (*Cache, error) {
 
 func (c *Cache) alloc() {
 	sets := c.layout.Sets()
-	c.store = DirectMapped{lines: make([]Line, sets*c.ways), perSet: NewPerSet(sets)}
+	c.store = DirectMapped{lines: make([]Line, sets*c.ways), Tally: NewTally(sets)}
 	if c.directMapped() {
 		c.setBuf = make([]int32, trace.DefaultBatch)
 		return
@@ -161,7 +161,7 @@ func (c *Cache) Access(a trace.Access) AccessResult {
 		return c.store.Access(set, a, c.layout.OffsetBits)
 	}
 	res := c.accessSet(set, c.layout.Block(a.Addr), a.Kind == trace.Write)
-	c.store.record(set, res)
+	c.store.Record(set, res)
 	return res
 }
 
@@ -179,7 +179,7 @@ func (c *Cache) AccessBatch(batch []trace.Access) {
 	for _, a := range batch {
 		set := c.index.Index(a.Addr)
 		res := c.accessSet(set, c.layout.Block(a.Addr), a.Kind == trace.Write)
-		c.store.record(set, res)
+		c.store.Record(set, res)
 	}
 }
 

@@ -18,19 +18,18 @@ import (
 // the outcome counts stay in locals until the batch ends.
 
 // DirectMapped is the line store of a direct-mapped, write-back,
-// write-allocate cache: one Line per set, the aggregate Counters and the
-// per-set counts.  The caller supplies each access's set.  Its methods
-// implement Model's Counters, PerSet and Reset, so a model that embeds it
-// adds only its name, its set count and its placement rule.
+// write-allocate cache: one Line per set and the Tally of its accesses.
+// The caller supplies each access's set.  Its methods implement Model's
+// Counters, PerSet and Reset, so a model that embeds it adds only its
+// name, its set count and its placement rule.
 type DirectMapped struct {
-	lines    []Line
-	counters Counters
-	perSet   PerSet
+	lines []Line
+	Tally
 }
 
 // NewDirectMapped returns an empty store of sets lines.
 func NewDirectMapped(sets int) DirectMapped {
-	return DirectMapped{lines: make([]Line, sets), perSet: NewPerSet(sets)}
+	return DirectMapped{lines: make([]Line, sets), Tally: NewTally(sets)}
 }
 
 // Replay replays batch, access i going to set sets[i]; block addresses
@@ -56,34 +55,15 @@ func (st *DirectMapped) Access(set int, a trace.Access, offsetBits uint) AccessR
 	return AccessResult{}
 }
 
-// Counters returns the aggregate counts since construction or Reset.
-func (st *DirectMapped) Counters() Counters { return st.counters }
-
-// PerSet returns a copy of the per-set counts.
-func (st *DirectMapped) PerSet() PerSet { return st.perSet.Clone() }
-
 // Reset empties every line and zeroes the counters.
 func (st *DirectMapped) Reset() {
 	st.Flush()
-	st.counters = Counters{}
-	st.perSet.Reset()
+	st.Tally.Reset()
 }
 
 // Flush empties every line, discarding dirty ones without a writeback,
 // and keeps the counters.
 func (st *DirectMapped) Flush() { clear(st.lines) }
-
-// record counts one access of the generic set-associative loop, which
-// shares the store's counters but fills its own ways.
-func (st *DirectMapped) record(set int, res AccessResult) {
-	st.counters.Add(res)
-	st.perSet.Accesses[set]++
-	if res.Hit {
-		st.perSet.Hits[set]++
-	} else {
-		st.perSet.Misses[set]++
-	}
-}
 
 // replayBatch replays batch in chunks of len(setBuf): one IndexBatch
 // call, then the kernel.  sc is nil for a live cache.

@@ -13,6 +13,7 @@ import (
 // (§III); pair this with OptMisses for that bound, or with LRU for the
 // realistic upper envelope of associativity.
 type FullyAssociative struct {
+	Tally    // one pseudo-set
 	layout   addr.Layout
 	capacity int // lines
 	policy   Policy
@@ -25,9 +26,7 @@ type FullyAssociative struct {
 	where map[uint64]int
 	// used counts filled lines; fills land on lines sequentially (the
 	// lowest invalid line is always line `used`) until the cache is full.
-	used     int
-	counters Counters
-	perSet   PerSet // single pseudo-set
+	used int
 }
 
 // NewFullyAssociative builds a fully-associative cache holding capacity
@@ -61,15 +60,8 @@ func (f *FullyAssociative) Reset() {
 	f.repl = f.policy.NewSet(f.capacity)
 	f.where = make(map[uint64]int, f.capacity)
 	f.used = 0
-	f.counters = Counters{}
-	f.perSet = NewPerSet(1)
+	f.Tally = NewTally(1)
 }
-
-// Counters implements Model.
-func (f *FullyAssociative) Counters() Counters { return f.counters }
-
-// PerSet implements Model.
-func (f *FullyAssociative) PerSet() PerSet { return f.perSet.Clone() }
 
 // Access implements Model.
 func (f *FullyAssociative) Access(a trace.Access) AccessResult {
@@ -98,13 +90,7 @@ func (f *FullyAssociative) Access(a trace.Access) AccessResult {
 		f.where[block] = way
 		f.repl.Fill(way)
 	}
-	f.counters.Add(res)
-	f.perSet.Accesses[0]++
-	if res.Hit {
-		f.perSet.Hits[0]++
-	} else {
-		f.perSet.Misses[0]++
-	}
+	f.Record(0, res)
 	return res
 }
 

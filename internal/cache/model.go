@@ -126,6 +126,67 @@ func (p PerSet) Clone() PerSet {
 	return c
 }
 
+// Tally is a model's statistics: the aggregate Counters and the per-set
+// counts.  Every per-access model embeds one and counts each access
+// through Record, which also gives it Model's Counters and PerSet; its
+// own Reset must call Tally.Reset.  Only the direct-mapped kernel and the
+// shard stitch, in this package, write the counts without Record: they
+// count a whole batch at once.
+type Tally struct {
+	counters Counters
+	perSet   PerSet
+}
+
+// NewTally returns a zeroed tally over sets sets.
+func NewTally(sets int) Tally { return Tally{perSet: NewPerSet(sets)} }
+
+// Record counts one access and its outcome against set, which is the set
+// that supplied a hit or the primary set of a miss.
+func (t *Tally) Record(set int, res AccessResult) {
+	t.counters.Add(res)
+	t.perSet.Accesses[set]++
+	if res.Hit {
+		t.perSet.Hits[set]++
+	} else {
+		t.perSet.Misses[set]++
+	}
+}
+
+// RecordSplit counts one access against set but a hit against hitSet:
+// for a model that charges every access to its primary set while the data
+// may come from another.
+func (t *Tally) RecordSplit(set, hitSet int, res AccessResult) {
+	t.counters.Add(res)
+	t.perSet.Accesses[set]++
+	if res.Hit {
+		t.perSet.Hits[hitSet]++
+	} else {
+		t.perSet.Misses[set]++
+	}
+}
+
+// RecordEviction counts an eviction, and a writeback when dirty, in the
+// aggregate counters only: it is a side effect of an access whose own
+// outcome Record counted.
+func (t *Tally) RecordEviction(dirty bool) {
+	t.counters.Evictions++
+	if dirty {
+		t.counters.Writebacks++
+	}
+}
+
+// Counters returns the aggregate counts since construction or Reset.
+func (t *Tally) Counters() Counters { return t.counters }
+
+// PerSet returns a copy of the per-set counts.
+func (t *Tally) PerSet() PerSet { return t.perSet.Clone() }
+
+// Reset zeroes every count in place.
+func (t *Tally) Reset() {
+	t.counters = Counters{}
+	t.perSet.Reset()
+}
+
 // Model is the interface every cache organisation in this repository
 // implements: the plain set-associative cache below and the programmable
 // associativity schemes in package assoc.

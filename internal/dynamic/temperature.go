@@ -1,8 +1,9 @@
 package dynamic
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cacheuniformity/internal/addr"
 	"cacheuniformity/internal/cache"
@@ -67,6 +68,7 @@ type shelterEntry struct {
 // do not pay a shelter-probe penalty: the directory is consulted in
 // parallel with the primary set, like the column-associative rehash.
 type TemperatureCache struct {
+	cache.Tally
 	name   string
 	layout addr.Layout
 	epoch  uint64
@@ -90,9 +92,6 @@ type TemperatureCache struct {
 	classifications uint64
 
 	order []int // classification scratch
-
-	counters cache.Counters
-	perSet   cache.PerSet
 }
 
 // NewTemperatureCache validates the configuration against the layout and
@@ -144,8 +143,7 @@ func (t *TemperatureCache) Reset() {
 	t.steered = 0
 	t.classifications = 0
 	t.order = make([]int, sets)
-	t.counters = cache.Counters{}
-	t.perSet = cache.NewPerSet(sets)
+	t.Tally = cache.NewTally(sets)
 }
 
 // Steered returns how many victims were re-homed instead of evicted.
@@ -157,12 +155,6 @@ func (t *TemperatureCache) Classifications() uint64 { return t.classifications }
 // ClassOf returns the current temperature of a set.
 func (t *TemperatureCache) ClassOf(set int) Temperature { return t.class[set] }
 
-// Counters implements cache.Model.
-func (t *TemperatureCache) Counters() cache.Counters { return t.counters }
-
-// PerSet implements cache.Model.
-func (t *TemperatureCache) PerSet() cache.PerSet { return t.perSet.Clone() }
-
 // Access implements cache.Model.
 func (t *TemperatureCache) Access(a trace.Access) cache.AccessResult {
 	set := int(t.layout.Index(a.Addr))
@@ -170,6 +162,7 @@ func (t *TemperatureCache) Access(a trace.Access) cache.AccessResult {
 	store := a.Kind == trace.Write
 
 	res := cache.AccessResult{}
+	hitSet := set
 	ln := &t.lines[set]
 	switch {
 	case ln.Valid && ln.Block == block:
@@ -177,8 +170,7 @@ func (t *TemperatureCache) Access(a trace.Access) cache.AccessResult {
 		if store {
 			ln.Dirty = true
 		}
-		t.perSet.Hits[set]++
-	case t.shelterHit(block, set, store, &res):
+	case t.shelterHit(block, store, &res, &hitSet):
 		// bookkeeping done inside shelterHit
 	default:
 		// Miss: fill the primary set, steering its victim when hot.
@@ -192,11 +184,11 @@ func (t *TemperatureCache) Access(a trace.Access) cache.AccessResult {
 			}
 		}
 		*ln = cache.Line{Valid: true, Block: block, Dirty: store}
-		t.perSet.Misses[set]++
 	}
 
-	t.counters.Add(res)
-	t.perSet.Accesses[set]++
+	// The access stays charged to its primary set; a shelter hit is
+	// charged to the sheltering set.
+	t.RecordSplit(set, hitSet, res)
 	t.epochAccesses[set]++
 	t.sinceClassify++
 	if t.sinceClassify >= t.epoch {
@@ -206,10 +198,10 @@ func (t *TemperatureCache) Access(a trace.Access) cache.AccessResult {
 }
 
 // shelterHit probes the shelter directory for block; on a live entry it
-// records a secondary hit (attributed to the sheltering set) and returns
-// true.  Stale registrations — the sheltered line has since been replaced
-// — are deleted lazily here.
-func (t *TemperatureCache) shelterHit(block uint64, primary int, store bool, res *cache.AccessResult) bool {
+// sets res to a secondary hit and hitSet to the sheltering set, and
+// returns true.  Stale registrations — the sheltered line has since been
+// replaced — are deleted lazily here.
+func (t *TemperatureCache) shelterHit(block uint64, store bool, res *cache.AccessResult, hitSet *int) bool {
 	e, ok := t.shelter[block]
 	if !ok {
 		return false
@@ -223,7 +215,7 @@ func (t *TemperatureCache) shelterHit(block uint64, primary int, store bool, res
 	if store {
 		ln.Dirty = true
 	}
-	t.perSet.Hits[e.set]++
+	*hitSet = e.set
 	return true
 }
 
@@ -265,12 +257,11 @@ func (t *TemperatureCache) classify() {
 	for i := range t.order {
 		t.order[i] = i
 	}
-	sort.Slice(t.order, func(i, j int) bool {
-		a, b := t.order[i], t.order[j]
-		if t.epochAccesses[a] != t.epochAccesses[b] {
-			return t.epochAccesses[a] > t.epochAccesses[b]
+	slices.SortFunc(t.order, func(a, b int) int {
+		if c := cmp.Compare(t.epochAccesses[b], t.epochAccesses[a]); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	q := sets / 4
 	for rank, set := range t.order {
