@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cacheuniformity/internal/addr"
+	"cacheuniformity/internal/indexing"
 	"cacheuniformity/internal/trace"
 )
 
@@ -13,14 +14,18 @@ import (
 // block back.  The paper frames the adaptive group-associative cache as
 // "selective victim caching", so the plain victim cache is the natural
 // comparison substrate.
+//
+// Its per-set counts are its own, not the primary's: an access counts
+// against the primary's set for its address, and a buffer hit counts as
+// a hit there.
 type VictimCache struct {
+	Tally
 	primary *Cache
+	index   indexing.Func
 	layout  addr.Layout
 
 	victim     []Line
 	victimRepl SetPolicy
-
-	counters Counters
 }
 
 // VictimHitCycles is the latency of a hit served from the victim buffer:
@@ -36,7 +41,7 @@ func NewVictimCache(primary *Cache, entries int) (*VictimCache, error) {
 	if entries <= 0 {
 		return nil, fmt.Errorf("cache: victim buffer capacity %d must be positive", entries)
 	}
-	v := &VictimCache{primary: primary, layout: primary.Layout()}
+	v := &VictimCache{Tally: NewTally(primary.Sets()), primary: primary, index: primary.Index(), layout: primary.Layout()}
 	v.victim = make([]Line, entries)
 	v.victimRepl = LRU{}.NewSet(entries)
 	return v, nil
@@ -45,7 +50,7 @@ func NewVictimCache(primary *Cache, entries int) (*VictimCache, error) {
 // Name implements Model.
 func (v *VictimCache) Name() string { return v.primary.Name() + "+victim" }
 
-// Sets implements Model (per-set stats come from the primary).
+// Sets implements Model: the primary's sets.
 func (v *VictimCache) Sets() int { return v.primary.Sets() }
 
 // Reset implements Model.
@@ -55,14 +60,8 @@ func (v *VictimCache) Reset() {
 		v.victim[i] = Line{}
 	}
 	v.victimRepl = LRU{}.NewSet(len(v.victim))
-	v.counters = Counters{}
+	v.Tally.Reset()
 }
-
-// Counters implements Model.
-func (v *VictimCache) Counters() Counters { return v.counters }
-
-// PerSet implements Model.
-func (v *VictimCache) PerSet() PerSet { return v.primary.PerSet() }
 
 // Access implements Model.
 func (v *VictimCache) Access(a trace.Access) AccessResult {
@@ -108,6 +107,6 @@ func (v *VictimCache) Access(a trace.Access) AccessResult {
 		res.Evicted = false
 		res.Writeback = false
 	}
-	v.counters.Add(res)
+	v.Record(v.index.Index(a.Addr), res)
 	return res
 }

@@ -25,6 +25,10 @@ func TestVictimCacheRescuesConflicts(t *testing.T) {
 	if ctr.SecondaryHits == 0 {
 		t.Error("no secondary hits recorded")
 	}
+	// Both blocks live in set 0, and a buffer hit is a hit there.
+	if ps := v.PerSet(); ps.Accesses[0] != 100 || ps.Hits[0] != ctr.Hits || ps.Misses[0] != ctr.Misses {
+		t.Errorf("set 0 counts %d/%d/%d, counters %+v", ps.Accesses[0], ps.Hits[0], ps.Misses[0], ctr)
+	}
 	// A plain DM cache thrashes on the same trace.
 	dm := mustNew(Config{Layout: l32k, Ways: 1, WriteAllocate: true})
 	if plain := Run(dm, tr); plain.Misses <= ctr.Misses {

@@ -23,7 +23,11 @@ import (
 // name) strings to canonical scheme/benchmark declarations, so declared
 // compositions (roster files, inline simd request bodies) and the
 // default roster share one key space.
-const CodeVersion = "2"
+//
+// Version "3": the victim cache's per-set counts became its own, so a
+// victim-buffer hit counts as a hit in its set; they used to be the
+// direct-mapped primary's, which counted it as a miss.
+const CodeVersion = "3"
 
 // keyPayload is the hashed identity of a cell.  It is encoded with the
 // canonical JSON codec, so neither map iteration order nor struct field

@@ -39,7 +39,7 @@ func TestCellKeyCollapsesEquivalentConfigs(t *testing.T) {
 // these values orphans every persisted cell, so it must come with a
 // CodeVersion bump and new values here.
 func TestCellKeyGolden(t *testing.T) {
-	if CodeVersion != "2" {
+	if CodeVersion != "3" {
 		t.Fatalf("CodeVersion = %q; re-pin the golden keys for the new version", CodeVersion)
 	}
 	parallel := core.Default()
@@ -49,8 +49,8 @@ func TestCellKeyGolden(t *testing.T) {
 		scheme, bench string
 		want          string
 	}{
-		{core.Default(), "baseline", "fft", "f3e0ef09e29b724001f47ded9e507e3af190c2555d58c381f9a6c2820c130be3"},
-		{parallel, "xor", "sha", "1143aad53505e3c9a7acee94e530f9868ce2da10cc4384173642d9ee3598752e"},
+		{core.Default(), "baseline", "fft", "3fb61677e3fe6ed685d7b50abfda616fb5246e8aa90d3b7074ef8f15de0b641f"},
+		{parallel, "xor", "sha", "a47919c510523394b827c1ba33ae86f03dca5945ece5073676a8ed762954886c"},
 	}
 	for _, c := range cases {
 		got, err := CellKey(c.cfg, c.scheme, c.bench, CodeVersion)
