@@ -74,6 +74,10 @@ func BenchmarkFig04IndexingSchemes(b *testing.B) {
 	runFigure(b, 4, "Average", "xor", "avg%red(xor)")
 }
 
+func BenchmarkFig05Selection(b *testing.B) {
+	runFigure(b, 5, "Average", "deployed_%red", "avg%red(deployed)")
+}
+
 func BenchmarkFig06ProgrammableAssoc(b *testing.B) {
 	runFigure(b, 6, "Average", "column_associative", "avg%red(col)")
 }

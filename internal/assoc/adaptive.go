@@ -364,13 +364,18 @@ func (l *lruList) contains(v int) bool {
 
 // outDir is the out-of-position directory: an LRU map from block address
 // to the set sheltering it.  Entries live in a fixed pool of capacity
-// nodes chained into an intrusive recency list plus a free list, so
-// lookup/promote/insert/remove are O(1) — the directory is consulted on
-// every miss and the previous slice-shift ordering dominated the adaptive
-// cache's runtime.
+// nodes chained into an intrusive recency list plus a free list, and are
+// found through a flat open-addressing table of node indexes, so
+// lookup/promote/insert/remove are O(1) with no map traffic — the
+// directory is consulted on every access that misses its primary set.
+// The table has a power-of-two size of at least twice the capacity, a
+// multiplicative hash of the block, linear probing and backward-shift
+// deletion, so it never holds tombstones and never grows.
 type outDir struct {
 	capacity int
-	entries  map[uint64]int32 // block → node index
+	slots    []int32 // node index per slot; -1 when empty
+	shift    uint    // 64 - log2(len(slots)): keeps the hash's top bits
+	size     int     // live entries
 	nodes    []outNode
 	head     int32 // MRU node; -1 when empty
 	tail     int32 // LRU node; -1 when empty
@@ -383,28 +388,70 @@ type outNode struct {
 	prev, next int32
 }
 
+// outHashMul is 2^64 / φ, the Fibonacci-hashing multiplier.
+const outHashMul = 0x9E3779B97F4A7C15
+
 func newOutDir(capacity int) *outDir {
+	bits := uint(1)
+	for 1<<bits < 2*capacity {
+		bits++
+	}
 	o := &outDir{
 		capacity: capacity,
-		entries:  make(map[uint64]int32, capacity),
+		slots:    make([]int32, 1<<bits),
+		shift:    64 - bits,
 		nodes:    make([]outNode, capacity),
 	}
-	o.resetLinks()
+	o.reset()
 	return o
 }
 
-func (o *outDir) resetLinks() {
+func (o *outDir) reset() {
+	for i := range o.slots {
+		o.slots[i] = -1
+	}
 	for i := range o.nodes {
 		o.nodes[i].next = int32(i + 1)
 	}
 	o.nodes[len(o.nodes)-1].next = -1
 	o.free = 0
 	o.head, o.tail = -1, -1
+	o.size = 0
 }
 
-func (o *outDir) reset() {
-	clear(o.entries)
-	o.resetLinks()
+// home is the block's first probe slot.
+func (o *outDir) home(block uint64) int { return int((block * outHashMul) >> o.shift) }
+
+// find returns the slot holding block, or the empty slot that ends its
+// probe run.  The table is never more than half full, so the run always
+// ends.
+func (o *outDir) find(block uint64) (slot int, found bool) {
+	mask := len(o.slots) - 1
+	for s := o.home(block); ; s = (s + 1) & mask {
+		i := o.slots[s]
+		if i < 0 {
+			return s, false
+		}
+		if o.nodes[i].block == block {
+			return s, true
+		}
+	}
+}
+
+// clearSlot empties slot s by backward-shift deletion: each later entry
+// of the probe run that may legally sit in the hole (its home is not
+// between the hole and itself) moves back into it, so every remaining
+// entry stays reachable from its home without tombstones.
+func (o *outDir) clearSlot(s int) {
+	mask := len(o.slots) - 1
+	for j := (s + 1) & mask; o.slots[j] >= 0; j = (j + 1) & mask {
+		i := o.slots[j]
+		if (j-s)&mask <= (j-o.home(o.nodes[i].block))&mask {
+			o.slots[s] = i
+			s = j
+		}
+	}
+	o.slots[s] = -1
 }
 
 func (o *outDir) unlink(i int32) {
@@ -433,57 +480,67 @@ func (o *outDir) pushFront(i int32) {
 	}
 }
 
-// lookup returns the sheltering set for the block, promoting it to MRU.
-func (o *outDir) lookup(block uint64) (int, bool) {
-	i, ok := o.entries[block]
-	if !ok {
-		return 0, false
-	}
+// promote makes node i the MRU entry.
+func (o *outDir) promote(i int32) {
 	if o.head != i {
 		o.unlink(i)
 		o.pushFront(i)
 	}
+}
+
+// lookup returns the sheltering set for the block, promoting it to MRU.
+func (o *outDir) lookup(block uint64) (int, bool) {
+	s, ok := o.find(block)
+	if !ok {
+		return 0, false
+	}
+	i := o.slots[s]
+	o.promote(i)
 	return o.nodes[i].set, true
 }
 
 // insert adds block → set.  If the directory was full, the LRU entry is
 // recycled and returned as (evictedBlock, itsSet, true).
 func (o *outDir) insert(block uint64, set int) (evictedBlock uint64, evictedSet int, overflow bool) {
-	if i, ok := o.entries[block]; ok {
+	s, ok := o.find(block)
+	if ok {
+		i := o.slots[s]
 		o.nodes[i].set = set
-		if o.head != i {
-			o.unlink(i)
-			o.pushFront(i)
-		}
+		o.promote(i)
 		return 0, 0, false
 	}
 	var i int32
 	if o.free != -1 {
 		i = o.free
 		o.free = o.nodes[i].next
+		o.size++
 	} else {
 		i = o.tail
 		evictedBlock, evictedSet, overflow = o.nodes[i].block, o.nodes[i].set, true
-		delete(o.entries, evictedBlock)
+		es, _ := o.find(evictedBlock)
+		o.clearSlot(es)
 		o.unlink(i)
+		s, _ = o.find(block) // the shift may have moved the run's end
 	}
 	o.nodes[i] = outNode{block: block, set: set}
-	o.entries[block] = i
+	o.slots[s] = i
 	o.pushFront(i)
 	return evictedBlock, evictedSet, overflow
 }
 
 // remove deletes the entry for block if present.
 func (o *outDir) remove(block uint64) {
-	i, ok := o.entries[block]
+	s, ok := o.find(block)
 	if !ok {
 		return
 	}
-	delete(o.entries, block)
+	i := o.slots[s]
+	o.clearSlot(s)
 	o.unlink(i)
 	o.nodes[i].next = o.free
 	o.free = i
+	o.size--
 }
 
 // len returns the number of live entries.
-func (o *outDir) len() int { return len(o.entries) }
+func (o *outDir) len() int { return o.size }

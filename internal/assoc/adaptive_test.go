@@ -1,10 +1,12 @@
 package assoc
 
 import (
+	"slices"
 	"testing"
 
 	"cacheuniformity/internal/addr"
 	"cacheuniformity/internal/cache"
+	"cacheuniformity/internal/rng"
 	"cacheuniformity/internal/trace"
 )
 
@@ -218,5 +220,206 @@ func TestOutDirBasics(t *testing.T) {
 	o.insert(300, 9)
 	if s, _ := o.lookup(300); s != 9 {
 		t.Errorf("update-in-place failed: %d", s)
+	}
+}
+
+// mapOutDir is the map-backed OUT directory the flat table replaced, kept
+// as the reference the table is checked against: the same node pool,
+// recency list and free list, with a Go map from block to node.
+type mapOutDir struct {
+	entries map[uint64]int32
+	nodes   []outNode
+	head    int32
+	tail    int32
+	free    int32
+}
+
+func newMapOutDir(capacity int) *mapOutDir {
+	o := &mapOutDir{entries: make(map[uint64]int32, capacity), nodes: make([]outNode, capacity)}
+	for i := range o.nodes {
+		o.nodes[i].next = int32(i + 1)
+	}
+	o.nodes[capacity-1].next = -1
+	o.head, o.tail = -1, -1
+	return o
+}
+
+func (o *mapOutDir) unlink(i int32) {
+	p, n := o.nodes[i].prev, o.nodes[i].next
+	if p == -1 {
+		o.head = n
+	} else {
+		o.nodes[p].next = n
+	}
+	if n == -1 {
+		o.tail = p
+	} else {
+		o.nodes[n].prev = p
+	}
+}
+
+func (o *mapOutDir) pushFront(i int32) {
+	o.nodes[i].prev = -1
+	o.nodes[i].next = o.head
+	if o.head != -1 {
+		o.nodes[o.head].prev = i
+	}
+	o.head = i
+	if o.tail == -1 {
+		o.tail = i
+	}
+}
+
+func (o *mapOutDir) lookup(block uint64) (int, bool) {
+	i, ok := o.entries[block]
+	if !ok {
+		return 0, false
+	}
+	if o.head != i {
+		o.unlink(i)
+		o.pushFront(i)
+	}
+	return o.nodes[i].set, true
+}
+
+func (o *mapOutDir) insert(block uint64, set int) (evictedBlock uint64, evictedSet int, overflow bool) {
+	if i, ok := o.entries[block]; ok {
+		o.nodes[i].set = set
+		if o.head != i {
+			o.unlink(i)
+			o.pushFront(i)
+		}
+		return 0, 0, false
+	}
+	var i int32
+	if o.free != -1 {
+		i = o.free
+		o.free = o.nodes[i].next
+	} else {
+		i = o.tail
+		evictedBlock, evictedSet, overflow = o.nodes[i].block, o.nodes[i].set, true
+		delete(o.entries, evictedBlock)
+		o.unlink(i)
+	}
+	o.nodes[i] = outNode{block: block, set: set}
+	o.entries[block] = i
+	o.pushFront(i)
+	return evictedBlock, evictedSet, overflow
+}
+
+func (o *mapOutDir) remove(block uint64) {
+	i, ok := o.entries[block]
+	if !ok {
+		return
+	}
+	delete(o.entries, block)
+	o.unlink(i)
+	o.nodes[i].next = o.free
+	o.free = i
+}
+
+// recency lists a directory's entries MRU → LRU as block→set pairs.
+func recency(nodes []outNode, head int32) [][2]uint64 {
+	var out [][2]uint64
+	for i := head; i != -1; i = nodes[i].next {
+		out = append(out, [2]uint64{nodes[i].block, uint64(nodes[i].set)})
+	}
+	return out
+}
+
+// outTableConsistent checks the flat table against the recency list: the
+// table finds every listed node at a slot holding that node, and it holds
+// exactly len() occupied slots.
+func outTableConsistent(o *outDir) bool {
+	listed := 0
+	for i := o.head; i != -1; i = o.nodes[i].next {
+		s, ok := o.find(o.nodes[i].block)
+		if !ok || o.slots[s] != i {
+			return false
+		}
+		listed++
+	}
+	occupied := 0
+	for _, i := range o.slots {
+		if i >= 0 {
+			occupied++
+		}
+	}
+	return listed == o.len() && occupied == o.len()
+}
+
+// collidingBlocks returns n blocks whose home slots in a table like o's
+// fall on the last two slots or the first one, so their probe runs pile
+// up and wrap around the table's end.
+func collidingBlocks(o *outDir, n int) []uint64 {
+	last := len(o.slots) - 1
+	var out []uint64
+	for b := uint64(0); len(out) < n; b++ {
+		if h := o.home(b); h == 0 || h >= last-1 {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// TestOutDirMatchesMapReference drives the flat-table OUT directory and
+// the map-backed reference through the same random operation sequences —
+// lookups, inserts of new and live blocks (with overflow), and removes of
+// present and absent blocks — and requires identical return values,
+// overflow triples, sizes and MRU → LRU order at every step.
+func TestOutDirMatchesMapReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 8, 256} {
+		for _, colliding := range []bool{false, true} {
+			o, ref := newOutDir(capacity), newMapOutDir(capacity)
+			if len(o.slots) < 2*capacity || len(o.slots)&(len(o.slots)-1) != 0 {
+				t.Fatalf("capacity %d: table size %d, want a power of two >= %d", capacity, len(o.slots), 2*capacity)
+			}
+			universe := make([]uint64, 3*capacity+2)
+			if colliding {
+				universe = collidingBlocks(o, len(universe))
+			} else {
+				src := rng.New(uint64(capacity))
+				for i := range universe {
+					universe[i] = src.Uint64() >> 20
+				}
+			}
+			src := rng.New(uint64(capacity)*2 + 1)
+			for step := 0; step < 20*len(universe)+200; step++ {
+				block := universe[src.Intn(len(universe))]
+				switch op := src.Intn(5); op {
+				case 0, 1:
+					set := src.Intn(1024)
+					eb, es, ovf := o.insert(block, set)
+					rb, rs, rovf := ref.insert(block, set)
+					if eb != rb || es != rs || ovf != rovf {
+						t.Fatalf("cap %d colliding %v step %d: insert(%d) = (%d,%d,%v), reference (%d,%d,%v)",
+							capacity, colliding, step, block, eb, es, ovf, rb, rs, rovf)
+					}
+				case 2, 3:
+					s, ok := o.lookup(block)
+					rs, rok := ref.lookup(block)
+					if s != rs || ok != rok {
+						t.Fatalf("cap %d colliding %v step %d: lookup(%d) = (%d,%v), reference (%d,%v)",
+							capacity, colliding, step, block, s, ok, rs, rok)
+					}
+				default:
+					o.remove(block)
+					ref.remove(block)
+				}
+				if o.len() != len(ref.entries) {
+					t.Fatalf("cap %d colliding %v step %d: len %d, reference %d", capacity, colliding, step, o.len(), len(ref.entries))
+				}
+				if got, want := recency(o.nodes, o.head), recency(ref.nodes, ref.head); !slices.Equal(got, want) {
+					t.Fatalf("cap %d colliding %v step %d: order %v, reference %v", capacity, colliding, step, got, want)
+				}
+				if !outTableConsistent(o) {
+					t.Fatalf("cap %d colliding %v step %d: table disagrees with the recency list", capacity, colliding, step)
+				}
+			}
+			o.reset()
+			if o.len() != 0 || o.head != -1 || !outTableConsistent(o) {
+				t.Fatalf("cap %d: reset left entries behind", capacity)
+			}
+		}
 	}
 }

@@ -86,7 +86,8 @@ func columnInvariants(pseudo bool) func(seed uint64) bool {
 
 // TestAdaptiveStructuralInvariants checks the adaptive cache's table
 // consistency after random traffic: every OUT entry points at a valid
-// line holding exactly that block, no block is resident twice, and
+// line holding exactly that block, the OUT table finds every entry on the
+// recency list and holds nothing else, no block is resident twice, and
 // in-position lines hold blocks whose primary set matches.
 func TestAdaptiveStructuralInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -106,14 +107,17 @@ func TestAdaptiveStructuralInvariants(t *testing.T) {
 			}
 			seen[ln.block] = true
 		}
-		// OUT entries must be live and accurate.
-		for block, node := range a.out.entries {
-			ln := a.lines[a.out.nodes[node].set]
-			if !ln.valid || ln.block != block {
+		// OUT entries, walked along the recency list, must be live and
+		// accurate, and the directory's table must agree with the list.
+		n := 0
+		for i := a.out.head; i != -1; i = a.out.nodes[i].next {
+			nd := a.out.nodes[i]
+			if ln := a.lines[nd.set]; !ln.valid || ln.block != nd.block {
 				return false
 			}
+			n++
 		}
-		return true
+		return n == a.out.len() && outTableConsistent(a.out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

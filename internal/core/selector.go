@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-
-	"cacheuniformity/internal/workload"
 )
 
 // Selection is the outcome of the paper's Figure-5 proposal: applications
@@ -22,42 +20,45 @@ type Selection struct {
 	Candidates map[string]float64
 }
 
-// SelectIndexing profiles a benchmark (with cfg.Seed and cfg.TraceLength
-// as the profiling run) and picks the best indexing scheme.  Ties break
-// toward the baseline, then alphabetically, so a scheme must strictly beat
-// conventional indexing to be selected — matching the paper's "the default
-// will use conventional indexes".
-func SelectIndexing(ctx context.Context, cfg Config, bench string) (Selection, error) {
-	cfg = cfg.normalized()
-	if _, err := workload.Lookup(bench); err != nil {
-		return Selection{}, err
-	}
+// SelectIndexing profiles each benchmark (with cfg.Seed and
+// cfg.TraceLength as the profiling run) and picks its best indexing
+// scheme, returning one Selection per benchmark in the order given.  All
+// benchmarks are profiled in one Grid over baseline + IndexingSchemes, so
+// the work parallelises over benchmarks and each trace is replayed once
+// for every candidate.  Ties break toward the baseline, then
+// alphabetically, so a scheme must strictly beat conventional indexing to
+// be selected — matching the paper's "the default will use conventional
+// indexes".  An unknown benchmark is rejected before any work starts; a
+// failed cell reports the first failure in benchmark, then scheme-name
+// order.
+func SelectIndexing(ctx context.Context, cfg Config, benches ...string) ([]Selection, error) {
 	candidates := append([]string{"baseline"}, IndexingSchemes...)
-	grid, err := Grid(ctx, cfg, candidates, []string{bench})
+	grid, err := Grid(ctx, cfg, candidates, benches)
 	if err != nil {
-		return Selection{}, err
+		return nil, err
 	}
-	row := grid[bench]
-	sel := Selection{Benchmark: bench, Candidates: make(map[string]float64, len(row))}
-	for name, r := range row {
-		if r.Err != nil {
-			return Selection{}, fmt.Errorf("core: select %s/%s: %w", bench, name, r.Err)
-		}
-		sel.Candidates[name] = r.MissRate
-	}
-	names := make([]string, 0, len(sel.Candidates))
-	//lint:allow detrand the collected names are sorted immediately below, so iteration order cannot leak out.
-	for name := range sel.Candidates {
-		names = append(names, name)
-	}
+	names := append([]string(nil), candidates...)
 	sort.Strings(names)
-	sel.Scheme = "baseline"
-	sel.ProfileMissRate = sel.Candidates["baseline"]
-	for _, name := range names {
-		if sel.Candidates[name] < sel.ProfileMissRate {
-			sel.Scheme = name
-			sel.ProfileMissRate = sel.Candidates[name]
+	sels := make([]Selection, len(benches))
+	for bi, bench := range benches {
+		row := grid[bench]
+		sel := Selection{Benchmark: bench, Candidates: make(map[string]float64, len(names))}
+		for _, name := range names {
+			r := row[name]
+			if r.Err != nil {
+				return nil, fmt.Errorf("core: select %s/%s: %w", bench, name, r.Err)
+			}
+			sel.Candidates[name] = r.MissRate
 		}
+		sel.Scheme = "baseline"
+		sel.ProfileMissRate = sel.Candidates["baseline"]
+		for _, name := range names {
+			if sel.Candidates[name] < sel.ProfileMissRate {
+				sel.Scheme = name
+				sel.ProfileMissRate = sel.Candidates[name]
+			}
+		}
+		sels[bi] = sel
 	}
-	return sel, nil
+	return sels, nil
 }

@@ -5,12 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"cacheuniformity/internal/addr"
 	"cacheuniformity/internal/core"
+	"cacheuniformity/internal/experiments"
 	"cacheuniformity/internal/testutil"
+	"cacheuniformity/internal/workload"
 )
 
 // tinyConfig keeps store tests fast: 2k accesses over 64 sets.
@@ -455,5 +458,44 @@ func TestMemoizerInstallation(t *testing.T) {
 	}
 	if c := s.Counters(); c.MemoryHits != 3 {
 		t.Fatalf("RunOne did not hit the store (counters %+v)", c)
+	}
+}
+
+// TestFigure5Memoised: Figure 5's selection and deploy grids all go
+// through the memo, so a second run over the same store is served
+// entirely from memory, stores nothing new and prints the same table.
+func TestFigure5Memoised(t *testing.T) {
+	defer testutil.CheckLeaks(t)
+	s := openTemp(t, Options{})
+	cfg := tinyConfig()
+	cfg.Memo = s
+	ctx := context.Background()
+	run := func() string {
+		tbl, err := experiments.Figure5(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := tbl.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+
+	first := run()
+	c1 := s.Counters()
+	selection := uint64(len(workload.MiBenchOrder) * (1 + len(core.IndexingSchemes)))
+	baselines := uint64(len(workload.MiBenchOrder))
+	kept := uint64(strings.Count(first, "(baseline)"))
+	if want := selection + 2*baselines - kept; c1.Stores != want || c1.MemoryHits != 0 {
+		t.Fatalf("first run counters = %+v, want %d stores and no memory hits", c1, want)
+	}
+	second := run()
+	c2 := s.Counters()
+	if c2.Stores != c1.Stores || c2.Misses != c1.Misses || c2.DiskHits != c1.DiskHits || c2.MemoryHits != c1.Stores {
+		t.Fatalf("second run counters = %+v after %+v, want %d memory hits and nothing else", c2, c1, c1.Stores)
+	}
+	if first != second {
+		t.Fatalf("memoised table differs:\n%s\nvs\n%s", first, second)
 	}
 }

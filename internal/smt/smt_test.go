@@ -202,3 +202,26 @@ func TestSharedCacheAccessBatchAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptivePartitionedAccessAllocatesNothing: Figure 14's adaptive
+// partitioned cache is not a registry kind, so the every-kind allocation
+// check does not cover it; once warm, its Access allocates nothing.
+func TestAdaptivePartitionedAccessAllocatesNothing(t *testing.T) {
+	tr := workload.MustLookup("fft").Generate(1, 20_000)
+	for i := range tr {
+		tr[i].Thread = uint8(i % 4)
+	}
+	m, err := NewAdaptivePartitioned(l32k, 4, assoc.AdaptiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func() {
+		for _, a := range tr {
+			m.Access(a)
+		}
+	}
+	replay() // warm
+	if n := testing.AllocsPerRun(2, replay); n != 0 {
+		t.Errorf("%s: %v allocations per %d-access replay", m.Name(), n, len(tr))
+	}
+}
