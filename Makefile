@@ -102,10 +102,13 @@ bench-grid:
 			-minmetric BenchmarkGridFanout:accesses/s=$(GRID_MIN_ACCESS_RATE)
 
 # Result-store benchmark trio (cold simulation vs warm memory vs warm
-# disk), summarised into BENCH_serve.json and gated on the cold/warm
-# ratio: serving a cached cell must beat recomputing it by >= 100x.
+# disk) plus the HTTP edge of a warm /v1/cell hit (BenchmarkServeCell:
+# memory, memory with per-set counts, disk; recorded, not gated),
+# summarised into BENCH_serve.json and gated on the cold/warm ratio:
+# serving a cached cell must beat recomputing it by >= 100x.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkCell(Cold|WarmMemory|WarmDisk)$$' -benchmem -count 3 ./internal/resultstore \
+	$(GO) test -run '^$$' -bench 'BenchmarkCell(Cold|WarmMemory|WarmDisk)$$|BenchmarkServeCell$$' -benchmem -count 3 \
+		./internal/resultstore ./internal/server \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json \
 			-minspeedup BenchmarkCellCold/BenchmarkCellWarmMemory=$(SERVE_MIN_SPEEDUP)
 

@@ -43,7 +43,9 @@ type Sample struct {
 
 // Bench aggregates the samples of one benchmark across -count repetitions.
 type Bench struct {
-	Name    string   `json:"name"`
+	Name string `json:"name"`
+	// Pkg is the package the benchmark ran in (one run may span several).
+	Pkg     string   `json:"pkg,omitempty"`
 	Samples []Sample `json:"samples"`
 	// MinNsPerOp is the fastest repetition — the conventional headline
 	// number, least disturbed by scheduling noise.
@@ -52,8 +54,10 @@ type Bench struct {
 
 // Report is the file written to -o.
 type Report struct {
-	Goos    string  `json:"goos,omitempty"`
-	Goarch  string  `json:"goarch,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	// Pkg is the package every benchmark ran in; empty when they span
+	// several.
 	Pkg     string  `json:"pkg,omitempty"`
 	CPU     string  `json:"cpu,omitempty"`
 	Benches []Bench `json:"benchmarks"`
@@ -213,6 +217,7 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 	rep := &Report{}
 	byName := map[string]*Bench{}
 	var order []string // first-seen benchmark order
+	var pkg string
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line)
@@ -225,7 +230,7 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 			continue
 		}
 		if v, ok := strings.CutPrefix(line, "pkg: "); ok {
-			rep.Pkg = v
+			pkg = v
 			continue
 		}
 		if v, ok := strings.CutPrefix(line, "cpu: "); ok {
@@ -256,7 +261,7 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 		}
 		b := byName[fields[0]]
 		if b == nil {
-			b = &Bench{Name: fields[0]}
+			b = &Bench{Name: fields[0], Pkg: pkg}
 			byName[fields[0]] = b
 			order = append(order, fields[0])
 		}
@@ -265,8 +270,14 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	for _, name := range order {
+	for i, name := range order {
 		b := byName[name]
+		switch {
+		case i == 0:
+			rep.Pkg = b.Pkg
+		case b.Pkg != rep.Pkg:
+			rep.Pkg = ""
+		}
 		b.MinNsPerOp = b.Samples[0].NsPerOp
 		for _, s := range b.Samples[1:] {
 			if s.NsPerOp < b.MinNsPerOp {

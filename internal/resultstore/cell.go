@@ -23,14 +23,24 @@ const (
 	OriginInflight Origin = "inflight"
 )
 
-// lookup is Peek for a request this node serves: absence from both
+// Served is one cell as the store served it: the result, the tier or
+// path that supplied it, and the rendering slot of the memory-tier entry
+// that holds it.  Rendering is nil when no entry holds the result — a
+// failed result (never cached) or a store without a memory tier.
+type Served struct {
+	Result    core.Result
+	Origin    Origin
+	Rendering *Rendering
+}
+
+// lookup is PeekCell for a request this node serves: absence from both
 // tiers counts as a miss.
-func (s *Store) lookup(key string) (core.Result, Origin, bool) {
-	res, origin, ok := s.Peek(key)
+func (s *Store) lookup(key string) (Served, bool) {
+	c, ok := s.PeekCell(key)
 	if !ok {
 		s.misses.Add(1)
 	}
-	return res, origin, ok
+	return c, ok
 }
 
 // Cell returns the result of one (config, scheme, benchmark) cell,

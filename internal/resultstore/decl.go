@@ -20,10 +20,6 @@ import (
 // scheme name, or a kind whose parameters spell out the defaults — hit
 // the same entries as the name-based paths.
 func (s *Store) CellDecl(ctx context.Context, cfg core.Config, schemeDecl, benchDecl registry.Decl) (core.Result, Origin, error) {
-	cfg.Memo = nil
-	if s.traces != nil {
-		cfg.Traces = s
-	}
 	scheme, err := registry.ResolveScheme(schemeDecl)
 	if err != nil {
 		return core.Result{}, "", fmt.Errorf("scheme: %w", err)
@@ -32,38 +28,51 @@ func (s *Store) CellDecl(ctx context.Context, cfg core.Config, schemeDecl, bench
 	if err != nil {
 		return core.Result{}, "", fmt.Errorf("benchmark: %w", err)
 	}
-	key, err := cellKeyCanonical(cfg, scheme.Decl, benchCanon, s.version)
+	key, err := CellKeyCanonical(cfg, scheme.Decl, benchCanon, s.version)
 	if err != nil {
 		return core.Result{}, "", err
 	}
+	c, err := s.CellResolved(ctx, cfg, scheme, spec, key)
+	return c.Result, c.Origin, err
+}
 
+// CellResolved is CellDecl for a caller that has already resolved both
+// declarations and derived key from them with CellKeyCanonical under
+// this store's Version — the server does both once per request.  The
+// contract is CellDecl's; the Served value also carries the memory
+// entry's rendering slot.
+func (s *Store) CellResolved(ctx context.Context, cfg core.Config, scheme core.Scheme, spec workload.Spec, key string) (Served, error) {
+	cfg.Memo = nil
+	if s.traces != nil {
+		cfg.Traces = s
+	}
 	for {
-		if res, origin, ok := s.lookup(key); ok {
-			return res, origin, nil
+		if c, ok := s.lookup(key); ok {
+			return c, nil
 		}
 
 		fl, leader := s.join(key)
 		if leader {
-			if res, ok := s.recheck(key, fl); ok {
-				return res, OriginMemory, nil
+			if c, ok := s.recheck(key, fl); ok {
+				return c, nil
 			}
 			res, _ := core.RunOneOf(ctx, cfg, scheme, spec)
 			s.finish(key, fl, cfg, res)
-			return res, OriginComputed, res.Err
+			return Served{Result: res, Origin: OriginComputed, Rendering: fl.render}, res.Err
 		}
 
 		s.inflightWaits.Add(1)
 		select {
 		case <-fl.done:
 			if fl.res.Err == nil || ctx.Err() != nil {
-				return fl.res, OriginInflight, fl.res.Err
+				return Served{Result: fl.res, Origin: OriginInflight, Rendering: fl.render}, fl.res.Err
 			}
 			// The leader failed (its cancellation, an injected fault) but
 			// this request is still live; its outcome must match what a
 			// direct run would produce, so go around and recompute.
 		case <-ctx.Done():
 			res := core.Result{Benchmark: spec.Name, Scheme: scheme.Name, Err: ctx.Err()}
-			return res, "", ctx.Err()
+			return Served{Result: res}, ctx.Err()
 		}
 	}
 }
@@ -122,9 +131,10 @@ func (s *Store) GridDecls(ctx context.Context, cfg core.Config, schemeDecls, ben
 		fl     *flight
 	}
 	type wait struct {
-		bench, scheme         string
-		benchDecl, schemeDecl registry.Decl // canonical; drives recompute
-		fl                    *flight
+		scheme core.Scheme
+		spec   workload.Spec
+		key    string
+		fl     *flight
 	}
 	out := make(map[string]map[string]core.Result, len(specs))
 	var waits []wait
@@ -139,26 +149,22 @@ func (s *Store) GridDecls(ctx context.Context, cfg core.Config, schemeDecls, ben
 			row = make(map[string]core.Result, len(schemes))
 			out[b] = row
 		}
-		for si, sc := range schemes {
-			key, err := cellKeyCanonical(cfg, sc.Decl, benchCanon[bi], s.version)
+		for _, sc := range schemes {
+			key, err := CellKeyCanonical(cfg, sc.Decl, benchCanon[bi], s.version)
 			if err != nil {
 				return nil, err
 			}
-			if res, _, ok := s.lookup(key); ok {
-				row[sc.Name] = res
+			if c, ok := s.lookup(key); ok {
+				row[sc.Name] = c.Result
 				continue
 			}
 			fl, leader := s.join(key)
 			if !leader {
-				waits = append(waits, wait{
-					bench: b, scheme: sc.Name,
-					benchDecl: benchCanon[bi], schemeDecl: schemeCanon[si],
-					fl: fl,
-				})
+				waits = append(waits, wait{scheme: sc, spec: spec, key: key, fl: fl})
 				continue
 			}
-			if res, ok := s.recheck(key, fl); ok {
-				row[sc.Name] = res
+			if c, ok := s.recheck(key, fl); ok {
+				row[sc.Name] = c.Result
 				continue
 			}
 			if len(benchLeads[b]) == 0 {
@@ -221,18 +227,19 @@ func (s *Store) GridDecls(ctx context.Context, cfg core.Config, schemeDecls, ben
 
 	// Join cells led by concurrent requests.  A foreign failure is not
 	// this request's failure: if the flight resolves to an error while
-	// this context is still live, recompute through CellDecl.
+	// this context is still live, recompute through CellResolved.
 	for _, w := range waits {
 		s.inflightWaits.Add(1)
 		select {
 		case <-w.fl.done:
 			res := w.fl.res
 			if res.Err != nil && ctx.Err() == nil {
-				res, _, _ = s.CellDecl(ctx, cfg, w.schemeDecl, w.benchDecl)
+				c, _ := s.CellResolved(ctx, cfg, w.scheme, w.spec, w.key)
+				res = c.Result
 			}
-			out[w.bench][w.scheme] = res
+			out[w.spec.Name][w.scheme.Name] = res
 		case <-ctx.Done():
-			out[w.bench][w.scheme] = core.Result{Benchmark: w.bench, Scheme: w.scheme, Err: ctx.Err()}
+			out[w.spec.Name][w.scheme.Name] = core.Result{Benchmark: w.spec.Name, Scheme: w.scheme.Name, Err: ctx.Err()}
 		}
 	}
 	return out, ctx.Err()

@@ -9,21 +9,27 @@ import (
 // Peek probes both tiers for key without counting a miss: absence is an
 // expected outcome for a cell this node does not own, not a store
 // shortfall.  Hits count (and promote) exactly as in a normal lookup.
-// The server uses Peek before forwarding, so a previously peer-filled
-// cell is served locally without touching the network.
+// The server uses PeekCell before forwarding, so a previously
+// peer-filled cell is served locally without touching the network.
 func (s *Store) Peek(key string) (core.Result, Origin, bool) {
-	if res, ok := s.memGet(key); ok {
+	c, ok := s.PeekCell(key)
+	return c.Result, c.Origin, ok
+}
+
+// PeekCell is Peek that also returns the hit entry's rendering slot (a
+// disk hit's is the slot of the memory entry it was promoted to).
+func (s *Store) PeekCell(key string) (Served, bool) {
+	if e, ok := s.memGet(key); ok {
 		s.memHits.Add(1)
-		return res, OriginMemory, true
+		return Served{Result: e.res, Origin: OriginMemory, Rendering: &e.render}, true
 	}
 	if s.dir != "" {
 		if res, ok := s.loadManifest(key); ok {
 			s.diskHits.Add(1)
-			s.memAdd(key, res)
-			return res, OriginDisk, true
+			return Served{Result: res, Origin: OriginDisk, Rendering: s.memAdd(key, res)}, true
 		}
 	}
-	return core.Result{}, "", false
+	return Served{}, false
 }
 
 // Fill inserts an externally computed result — in practice, a cluster

@@ -8,8 +8,9 @@ import "cacheuniformity/internal/core"
 // the container has no x/sync, and the store needs context-aware waiting
 // anyway, which golang.org/x/sync/singleflight does not offer.
 type flight struct {
-	done chan struct{}
-	res  core.Result
+	done   chan struct{}
+	res    core.Result
+	render *Rendering // the memory entry's slot; nil for a failed res
 }
 
 // join returns the flight for key, creating it when absent.  leader is
@@ -45,7 +46,7 @@ func (s *Store) finish(key string, fl *flight, cfg core.Config, res core.Result)
 	// the gap hits the LRU instead of missing both the flight and the
 	// tiers and recomputing the cell.
 	if res.Err == nil {
-		s.memAdd(key, res)
+		fl.render = s.memAdd(key, res)
 	}
 	s.retire(key)
 
@@ -71,16 +72,16 @@ func (s *Store) finish(key string, fl *flight, cfg core.Config, res core.Result)
 // off or has already evicted it.  On a hit the flight is released with
 // the stored result, and the cell is neither computed nor stored a
 // second time.
-func (s *Store) recheck(key string, fl *flight) (core.Result, bool) {
-	res, ok := s.memGet(key)
+func (s *Store) recheck(key string, fl *flight) (Served, bool) {
+	e, ok := s.memGet(key)
 	if !ok {
-		return core.Result{}, false
+		return Served{}, false
 	}
 	s.memHits.Add(1)
-	fl.res = res
+	fl.res, fl.render = e.res, &e.render
 	s.retire(key)
 	close(fl.done)
-	return res, true
+	return Served{Result: e.res, Origin: OriginMemory, Rendering: &e.render}, true
 }
 
 // retire removes key's flight from the lock table.

@@ -60,7 +60,7 @@ func CellKeyDecl(cfg core.Config, scheme, bench registry.Decl, version string) (
 	if err != nil {
 		return "", fmt.Errorf("benchmark: %w", err)
 	}
-	return cellKeyCanonical(cfg, sc.Decl, bd, version)
+	return CellKeyCanonical(cfg, sc.Decl, bd, version)
 }
 
 // CellKey is CellKeyDecl over default-roster names: the scheme name
@@ -71,10 +71,11 @@ func CellKey(cfg core.Config, scheme, bench, version string) (string, error) {
 	return CellKeyDecl(cfg, registry.Decl{Name: scheme}, registry.Decl{Name: bench}, version)
 }
 
-// cellKeyCanonical hashes an identity whose declarations are already
-// canonical (returned by registry.ResolveScheme / ResolveWorkload) —
-// the internal fast path that skips re-resolution.
-func cellKeyCanonical(cfg core.Config, scheme, bench registry.Decl, version string) (string, error) {
+// CellKeyCanonical is CellKeyDecl over declarations that are already
+// canonical — a core.Scheme's Decl from registry.ResolveScheme and the
+// declaration registry.ResolveWorkload returns — for callers that
+// resolved them once and must not pay for it again.
+func CellKeyCanonical(cfg core.Config, scheme, bench registry.Decl, version string) (string, error) {
 	payload := keyPayload{
 		Config:    cfg.Canonical(),
 		Scheme:    scheme,

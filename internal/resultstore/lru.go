@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"container/list"
+	"sync/atomic"
 
 	"cacheuniformity/internal/core"
 )
@@ -12,7 +13,9 @@ import (
 // store-wide, so unlike the singleflight map this structure cannot be
 // striped).  Values are core.Result copies — the per-set slices are
 // shared with callers, which is safe because nothing in the repo mutates
-// a Result after it is produced.
+// a Result after it is produced.  An entry is never mutated once
+// inserted (a refresh replaces it), so a caller may keep using an entry
+// after memMu is released; only its rendering slot changes, atomically.
 type memLRU struct {
 	max   int
 	order *list.List // front = most recently used
@@ -20,8 +23,38 @@ type memLRU struct {
 }
 
 type lruEntry struct {
-	key string
-	res core.Result
+	key    string
+	res    core.Result
+	render Rendering
+}
+
+// Rendering is an opaque byte slot on one memory-tier entry.  A caller
+// that encodes the entry's result (the server's reply rendering) keeps
+// the bytes here, and later hits on the same entry reuse them.  The
+// store never reads the bytes: it only drops them with their entry (LRU
+// eviction, DeleteCell, a refresh by a later insert of the same key).
+// A nil *Rendering, returned when no memory-tier entry holds the
+// result, loads nothing and discards what is stored.
+type Rendering struct{ b atomic.Pointer[[]byte] }
+
+// Load returns the stored bytes, or nil when none are stored yet.  The
+// bytes are shared: callers must not modify them.
+func (r *Rendering) Load() []byte {
+	if r == nil {
+		return nil
+	}
+	if p := r.b.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Store attaches b to the entry.  Concurrent stores are safe; the last
+// one wins, so every caller must store the same bytes for one entry.
+func (r *Rendering) Store(b []byte) {
+	if r != nil {
+		r.b.Store(&b)
+	}
 }
 
 func newMemLRU(max int) *memLRU {
@@ -32,32 +65,33 @@ func newMemLRU(max int) *memLRU {
 	}
 }
 
-// get returns the cached result and refreshes its recency.
-func (l *memLRU) get(key string) (core.Result, bool) {
+// get returns the cached entry and refreshes its recency.
+func (l *memLRU) get(key string) (*lruEntry, bool) {
 	el, ok := l.items[key]
 	if !ok {
-		return core.Result{}, false
+		return nil, false
 	}
 	l.order.MoveToFront(el)
-	return el.Value.(*lruEntry).res, true
+	return el.Value.(*lruEntry), true
 }
 
-// add inserts (or refreshes) the entry and reports how many entries were
-// evicted to make room (0 or 1).
-func (l *memLRU) add(key string, res core.Result) int {
+// add inserts (or replaces) the entry, returns it, and reports how many
+// entries were evicted to make room (0 or 1).
+func (l *memLRU) add(key string, res core.Result) (*lruEntry, int) {
+	e := &lruEntry{key: key, res: res}
 	if el, ok := l.items[key]; ok {
-		el.Value.(*lruEntry).res = res
+		el.Value = e
 		l.order.MoveToFront(el)
-		return 0
+		return e, 0
 	}
-	l.items[key] = l.order.PushFront(&lruEntry{key: key, res: res})
+	l.items[key] = l.order.PushFront(e)
 	if l.order.Len() <= l.max {
-		return 0
+		return e, 0
 	}
 	oldest := l.order.Back()
 	l.order.Remove(oldest)
 	delete(l.items, oldest.Value.(*lruEntry).key)
-	return 1
+	return e, 1
 }
 
 // remove drops the entry if present, reporting whether it existed.

@@ -175,28 +175,30 @@ func Open(opts Options) (*Store, error) {
 }
 
 // memGet probes the in-memory tier under its lock.
-func (s *Store) memGet(key string) (core.Result, bool) {
+func (s *Store) memGet(key string) (*lruEntry, bool) {
 	if s.mem == nil {
-		return core.Result{}, false
+		return nil, false
 	}
 	s.memMu.Lock()
-	res, ok := s.mem.get(key)
+	e, ok := s.mem.get(key)
 	s.memMu.Unlock()
-	return res, ok
+	return e, ok
 }
 
-// memAdd inserts into the in-memory tier under its lock and counts any
-// evictions.
-func (s *Store) memAdd(key string, res core.Result) {
+// memAdd inserts into the in-memory tier under its lock, counts any
+// evictions, and returns the new entry's rendering slot (nil without a
+// memory tier).
+func (s *Store) memAdd(key string, res core.Result) *Rendering {
 	if s.mem == nil {
-		return
+		return nil
 	}
 	s.memMu.Lock()
-	evicted := s.mem.add(key, res)
+	e, evicted := s.mem.add(key, res)
 	s.memMu.Unlock()
 	if evicted > 0 {
 		s.evictions.Add(uint64(evicted))
 	}
+	return &e.render
 }
 
 // Version returns the code-version tag baked into this store's keys.

@@ -22,10 +22,8 @@ import (
 	"net/http"
 
 	"cacheuniformity/internal/core"
-	"cacheuniformity/internal/registry"
 	"cacheuniformity/internal/report"
 	"cacheuniformity/internal/resultstore"
-	"cacheuniformity/internal/workload"
 )
 
 // OriginPeer marks a cell served by forwarding to its owning node (and
@@ -114,19 +112,18 @@ type peerCellReply struct {
 // hedged fetch from the owner.  It reports whether the request was
 // answered; false means the caller must compute locally — the bottom
 // rung of the degradation ladder.
-func (s *Server) serveForwarded(w http.ResponseWriter, r *http.Request, req *cellRequest,
-	cfg core.Config, scheme core.Scheme, spec workload.Spec, benchCanon registry.Decl, key string) bool {
+func (s *Server) serveForwarded(w http.ResponseWriter, r *http.Request, req *cellRequest, id *cellID) bool {
 	cl := s.cfg.Cluster
 
-	if res, origin, ok := s.cfg.Store.Peek(key); ok {
-		s.replyCell(w, req, scheme, spec, benchCanon, key, origin, res, 0)
+	if served, ok := s.cfg.Store.PeekCell(id.key); ok {
+		s.replyCell(w, req, id, served, 0)
 		return true
 	}
 
 	fwd := cellRequest{
-		Scheme:    scheme.Decl,
-		Benchmark: benchCanon,
-		Config:    fwdConfig(cfg),
+		Scheme:    id.scheme.Decl,
+		Benchmark: id.benchCanon,
+		Config:    fwdConfig(id.cfg),
 		// Always ask for the raw per-set distributions: the peer-filled
 		// Result must equal a locally computed one, or a later
 		// include_per_set request would be served a truncated cell.
@@ -140,12 +137,12 @@ func (s *Server) serveForwarded(w http.ResponseWriter, r *http.Request, req *cel
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	started := now()
-	data, peer, err := cl.FetchCell(ctx, key, body)
+	data, peer, err := cl.FetchCell(ctx, id.key, body)
 	if err != nil {
 		return false
 	}
 
-	res, err := decodePeerCell(data, key, scheme.Name, spec.Name)
+	res, err := decodePeerCell(data, id.key, id.scheme.Name, id.spec.Name)
 	if err != nil {
 		// The peer answered 200 with a body that does not hold this cell:
 		// corruption, a version skew, a bug.  Treat the peer as failed and
@@ -153,12 +150,13 @@ func (s *Server) serveForwarded(w http.ResponseWriter, r *http.Request, req *cel
 		cl.RecordBadBody(peer)
 		return false
 	}
-	if err := s.cfg.Store.Fill(key, cfg, res); err != nil {
+	if err := s.cfg.Store.Fill(id.key, id.cfg, res); err != nil {
 		return false
 	}
 	cl.RecordPeerFill(peer)
 	s.met.forwardServed.Add(1)
-	s.replyCell(w, req, scheme, spec, benchCanon, key, OriginPeer, res, now().Sub(started).Nanoseconds())
+	// The fill's memory entry gets its rendering on its first local hit.
+	s.replyCell(w, req, id, resultstore.Served{Result: res, Origin: OriginPeer}, now().Sub(started).Nanoseconds())
 	return true
 }
 

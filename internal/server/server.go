@@ -229,6 +229,9 @@ type cellRequest struct {
 	IncludePerSet bool          `json:"include_per_set,omitempty"`
 }
 
+// cellResponse is the /v1/cell reply.  replyCell writes it by hand
+// (render.go); Result is the shape of the "result" value, which it takes
+// from the store's rendering instead.
 type cellResponse struct {
 	Scheme    string `json:"scheme"`
 	Benchmark string `json:"benchmark"`
@@ -272,11 +275,12 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	key, err := resultstore.CellKeyDecl(cfg, req.Scheme, req.Benchmark, s.cfg.Store.Version())
+	key, err := resultstore.CellKeyCanonical(cfg, scheme.Decl, benchCanon, s.cfg.Store.Version())
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
+	id := cellID{cfg: cfg, scheme: scheme, spec: spec, benchCanon: benchCanon, key: key}
 
 	forwarded := r.Header.Get(cluster.ForwardHeader) != ""
 	if forwarded && s.draining.Load() {
@@ -289,7 +293,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	}
 	if cl := s.cfg.Cluster; cl != nil && !forwarded {
 		if owner := cl.Owner(key); owner != cl.Self() {
-			if s.serveForwarded(w, r, &req, cfg, scheme, spec, benchCanon, key) {
+			if s.serveForwarded(w, r, &req, &id) {
 				return
 			}
 			// Every rung of the forward path failed; compute locally so
@@ -305,33 +309,23 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	started := now()
-	res, origin, err := s.cfg.Store.CellDecl(ctx, cfg, req.Scheme, req.Benchmark)
+	served, err := s.cfg.Store.CellResolved(ctx, cfg, scheme, spec, key)
 	if err != nil {
 		s.fail(w, statusFor(ctx.Err(), err), err)
 		return
 	}
-	s.replyCell(w, &req, scheme, spec, benchCanon, key, origin, res, now().Sub(started).Nanoseconds())
+	s.replyCell(w, &req, &id, served, now().Sub(started).Nanoseconds())
 }
 
-// replyCell writes the cellResponse envelope for a computed, cached, or
-// peer-served result.
-func (s *Server) replyCell(w http.ResponseWriter, req *cellRequest, scheme core.Scheme, spec workload.Spec,
-	benchCanon registry.Decl, key string, origin resultstore.Origin, res core.Result, elapsedNs int64) {
-	body, err := toResultJSON(res, req.IncludePerSet)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.reply(w, cellResponse{
-		Scheme:        scheme.Name,
-		Benchmark:     spec.Name,
-		SchemeDecl:    scheme.Decl,
-		BenchmarkDecl: benchCanon,
-		Key:           key,
-		Origin:        origin,
-		ElapsedNs:     elapsedNs,
-		Result:        body,
-	})
+// cellID is a /v1/cell request's identity, resolved once: the
+// effective config, both declarations resolved through the registry,
+// and the store key derived from them.
+type cellID struct {
+	cfg        core.Config
+	scheme     core.Scheme
+	spec       workload.Spec
+	benchCanon registry.Decl
+	key        string
 }
 
 // gridRequest's scheme and benchmark lists are declarations, same
