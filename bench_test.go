@@ -29,7 +29,6 @@ import (
 	"cacheuniformity/internal/hier"
 	"cacheuniformity/internal/indexing"
 	"cacheuniformity/internal/report"
-	"cacheuniformity/internal/rng"
 	"cacheuniformity/internal/stats"
 	"cacheuniformity/internal/trace"
 	"cacheuniformity/internal/workload"
@@ -146,10 +145,7 @@ func BenchmarkAblationPrimeChoice(b *testing.B) {
 	for _, p := range []int{1021, 1013, 997, 509} {
 		p := p
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			pm, err := indexing.NewPrimeModuloWith(paperLayout, p)
-			if err != nil {
-				b.Fatal(err)
-			}
+			pm := indexing.PrimeModulo{L: paperLayout, P: uint64(p)}
 			var mr float64
 			for i := 0; i < b.N; i++ {
 				c := mustCache(cache.Config{Layout: paperLayout, Ways: 1, Index: pm, WriteAllocate: true})
@@ -172,7 +168,7 @@ func BenchmarkAblationGivargisBlockSize(b *testing.B) {
 			tr := workload.MustLookup("fft").Generate(1, 100_000)
 			var reduction float64
 			for i := 0; i < b.N; i++ {
-				g, err := indexing.NewGivargis(tr, layout, indexing.GivargisConfig{})
+				g, err := indexing.NewGivargisStream(tr.NewBatchReader(), layout, indexing.GivargisConfig{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -212,50 +208,6 @@ func BenchmarkAblationSHTOUTSizing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBCacheReplacement compares replacement policies inside
-// the B-cache clusters (the paper uses LRU).
-func BenchmarkAblationBCacheReplacement(b *testing.B) {
-	tr := workload.MustLookup("fft").Generate(1, 100_000)
-	for _, pol := range []cache.Policy{cache.LRU{}, cache.FIFO{}, cache.Random{Seed: 1}, cache.PLRU{}} {
-		pol := pol
-		b.Run(pol.Name(), func(b *testing.B) {
-			var mr float64
-			for i := 0; i < b.N; i++ {
-				bc := mustBCache(paperLayout, assoc.BCacheConfig{Replacement: pol})
-				mr = cache.Run(bc, tr).MissRate()
-			}
-			b.ReportMetric(mr, "missrate")
-		})
-	}
-}
-
-// BenchmarkAblationInterleaving compares round-robin and stochastic SMT
-// interleaving for the Figure-13 setup.
-func BenchmarkAblationInterleaving(b *testing.B) {
-	gen := func() (trace.BatchReader, trace.BatchReader) {
-		return workload.MustLookup("fft").Generate(1, 50_000).NewBatchReader(),
-			workload.MustLookup("susan").Generate(2, 50_000).NewBatchReader()
-	}
-	run := func(b *testing.B, mk func() trace.BatchReader) {
-		var mr float64
-		for i := 0; i < b.N; i++ {
-			tr, err := trace.CollectBatch(mk(), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := mustCache(cache.Config{Layout: paperLayout, Ways: 1, WriteAllocate: true})
-			mr = cache.Run(c, tr).MissRate()
-		}
-		b.ReportMetric(mr, "missrate")
-	}
-	b.Run("round_robin", func(b *testing.B) {
-		run(b, func() trace.BatchReader { a, c := gen(); return trace.RoundRobinBatch(a, c) })
-	})
-	b.Run("stochastic", func(b *testing.B) {
-		run(b, func() trace.BatchReader { a, c := gen(); return trace.StochasticBatch(rng.New(7), a, c) })
-	})
-}
-
 // BenchmarkAblationRehashBit contrasts column-associative (rehash bit
 // avoids fruitless second probes) against plain hash-rehash
 // pseudo-associativity, reporting the extra probes per access.
@@ -282,25 +234,6 @@ func BenchmarkAblationRehashBit(b *testing.B) {
 		}
 		b.ReportMetric(probes, "probeMiss/acc")
 	})
-}
-
-// BenchmarkPatelSearch exercises the exhaustive optimal-index search the
-// paper declined to evaluate, on a deliberately tiny configuration.
-func BenchmarkPatelSearch(b *testing.B) {
-	tiny := addr.MustLayout(8, 8, 16)
-	tr := workload.MustLookup("bitcount").Generate(1, 2_000)
-	b.ResetTimer()
-	var cost uint64
-	for i := 0; i < b.N; i++ {
-		res, err := indexing.SearchPatel(tr, tiny, indexing.PatelConfig{
-			CandidateBits: []uint{3, 4, 5, 6, 7, 8, 9, 10},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cost = res.Cost
-	}
-	b.ReportMetric(float64(cost), "optMisses")
 }
 
 // --- Microbenchmarks of the hot paths -----------------------------------
@@ -340,8 +273,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 // BenchmarkIndexFunc measures the pure index computations.
 func BenchmarkIndexFunc(b *testing.B) {
 	tr := workload.MustLookup("fft").Generate(1, 65_536)
-	prof := tr
-	giv, err := indexing.NewGivargis(prof, paperLayout, indexing.GivargisConfig{})
+	giv, err := indexing.NewGivargisStream(tr.NewBatchReader(), paperLayout, indexing.GivargisConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -60,3 +60,26 @@ func mustSharedIndexCache(l addr.Layout, funcs []indexing.Func) *smt.SharedCache
 	}
 	return s
 }
+
+// fifo evicts in fill order, ignoring hits: the replacement policy of the
+// golden b_cache/fifo variant.  No program builds a FIFO cache, so the
+// policy exists only in tests.
+type fifo struct{}
+
+func (fifo) Name() string { return "fifo" }
+
+func (fifo) NewSet(ways int) cache.SetPolicy { return &fifoSet{ways: ways} }
+
+type fifoSet struct{ ways, next int }
+
+func (s *fifoSet) Touch(int) {}
+
+// Fill follows the fill position: fills land on empty ways in ascending
+// order and then on Victim.
+func (s *fifoSet) Fill(way int) {
+	if way == s.next {
+		s.next = (s.next + 1) % s.ways
+	}
+}
+
+func (s *fifoSet) Victim() int { return s.next }

@@ -149,7 +149,7 @@ func goldenVariants(l addr.Layout) []goldenModel {
 	add("skewed/4banks", skewed, err)
 	bc, err := assoc.NewBCache(l, assoc.BCacheConfig{MappingFactor: 4, Associativity: 4})
 	add("b_cache/mf4_bas4", bc, err)
-	bc, err = assoc.NewBCache(l, assoc.BCacheConfig{Replacement: cache.FIFO{}})
+	bc, err = assoc.NewBCache(l, assoc.BCacheConfig{Replacement: fifo{}})
 	add("b_cache/fifo", bc, err)
 	temp, err := dynamic.NewTemperatureCache(l, dynamic.TemperatureConfig{Epoch: 1024})
 	add("temperature/epoch1024", temp, err)

@@ -162,19 +162,3 @@ func Log2(v int) int {
 	}
 	return bits.Len(uint(v)) - 1
 }
-
-// CeilPow2 returns the smallest power of two >= v (v must be > 0 and
-// representable; panics otherwise).
-func CeilPow2(v int) int {
-	if v <= 0 {
-		panic("addr: CeilPow2 of non-positive value")
-	}
-	if IsPow2(v) {
-		return v
-	}
-	p := 1 << bits.Len(uint(v))
-	if p <= 0 {
-		panic("addr: CeilPow2 overflow")
-	}
-	return p
-}

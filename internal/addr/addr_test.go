@@ -168,21 +168,6 @@ func TestLog2(t *testing.T) {
 	}
 }
 
-func TestCeilPow2(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 4, 5: 8, 1000: 1024, 1024: 1024}
-	for in, want := range cases {
-		if got := CeilPow2(in); got != want {
-			t.Errorf("CeilPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("CeilPow2(0) did not panic")
-		}
-	}()
-	CeilPow2(0)
-}
-
 func TestPropertyIndexWithinRange(t *testing.T) {
 	l := MustLayout(32, 1024, 32)
 	f := func(raw uint32) bool {

@@ -10,8 +10,7 @@ import (
 // FullyAssociative is a fully-associative cache with a pluggable
 // replacement policy.  The paper uses the fully-associative cache with a
 // perfect replacement policy as the theoretical lower bound for miss rates
-// (§III); pair this with OptMisses for that bound, or with LRU for the
-// realistic upper envelope of associativity.
+// (§III); with LRU it is the realistic upper envelope of associativity.
 type FullyAssociative struct {
 	Tally    // one pseudo-set
 	layout   addr.Layout
@@ -92,58 +91,4 @@ func (f *FullyAssociative) Access(a trace.Access) AccessResult {
 	}
 	f.Record(0, res)
 	return res
-}
-
-// OptMisses returns the miss count of a fully-associative cache of the
-// given capacity (in blocks) under Belady's optimal offline replacement —
-// the paper's "perfect replacement policy" lower bound.  The input is the
-// block-address sequence of the trace.
-func OptMisses(blocks []uint64, capacity int) uint64 {
-	if capacity <= 0 {
-		return uint64(len(blocks))
-	}
-	// next[i] = position of the next use of blocks[i] after i (len = never).
-	n := len(blocks)
-	next := make([]int, n)
-	last := make(map[uint64]int, capacity*2)
-	for i := n - 1; i >= 0; i-- {
-		if j, ok := last[blocks[i]]; ok {
-			next[i] = j
-		} else {
-			next[i] = n
-		}
-		last[blocks[i]] = i
-	}
-
-	resident := make(map[uint64]int, capacity) // block → next use position
-	var misses uint64
-	for i, b := range blocks {
-		if _, ok := resident[b]; ok {
-			resident[b] = next[i]
-			continue
-		}
-		misses++
-		if len(resident) >= capacity {
-			// Evict the block whose next use is farthest in the future.
-			victim, far := uint64(0), -1
-			for blk, nu := range resident {
-				if nu > far {
-					victim, far = blk, nu
-				}
-			}
-			delete(resident, victim)
-		}
-		resident[b] = next[i]
-	}
-	return misses
-}
-
-// BlockSequence extracts the block-address sequence of a trace under the
-// layout, the input format OptMisses expects.
-func BlockSequence(tr trace.Trace, l addr.Layout) []uint64 {
-	out := make([]uint64, len(tr))
-	for i, a := range tr {
-		out[i] = l.Block(a.Addr)
-	}
-	return out
 }

@@ -72,17 +72,17 @@ func TestFullyAssociativeRejectsBadConfig(t *testing.T) {
 func TestOptMissesBasics(t *testing.T) {
 	// Classic Belady example: with capacity 2, OPT on a,b,c,a,b keeps a,b.
 	blocks := []uint64{1, 2, 3, 1, 2}
-	if got := OptMisses(blocks, 2); got != 4 {
+	if got := optMisses(blocks, 2); got != 4 {
 		t.Errorf("OPT misses = %d, want 4", got)
 	}
 	// Capacity ≥ unique blocks → cold misses only.
-	if got := OptMisses(blocks, 3); got != 3 {
+	if got := optMisses(blocks, 3); got != 3 {
 		t.Errorf("OPT with ample capacity = %d, want 3", got)
 	}
-	if got := OptMisses(nil, 2); got != 0 {
+	if got := optMisses(nil, 2); got != 0 {
 		t.Errorf("OPT of empty trace = %d", got)
 	}
-	if got := OptMisses(blocks, 0); got != 5 {
+	if got := optMisses(blocks, 0); got != 5 {
 		t.Errorf("OPT with zero capacity = %d, want every access a miss", got)
 	}
 }
@@ -103,7 +103,7 @@ func TestOptNeverWorseThanLRU(t *testing.T) {
 		}
 		fa := mustFully(l32k, capacity, LRU{})
 		lru := Run(fa, tr)
-		return OptMisses(blocks, capacity) <= lru.Misses
+		return optMisses(blocks, capacity) <= lru.Misses
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -118,7 +118,7 @@ func TestOptMatchesUniqueWhenBig(t *testing.T) {
 			blocks[i] = uint64(r)
 			uniq[uint64(r)] = true
 		}
-		return OptMisses(blocks, 300) == uint64(len(uniq))
+		return optMisses(blocks, 300) == uint64(len(uniq))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -127,7 +127,7 @@ func TestOptMatchesUniqueWhenBig(t *testing.T) {
 
 func TestBlockSequence(t *testing.T) {
 	tr := trace.Trace{read(0), read(31), read(32)}
-	seq := BlockSequence(tr, l32k)
+	seq := blockSequence(tr, l32k)
 	if len(seq) != 3 || seq[0] != 0 || seq[1] != 0 || seq[2] != 1 {
 		t.Errorf("BlockSequence = %v", seq)
 	}
@@ -154,3 +154,58 @@ func TestFullyAssociativeIsLowerEnvelope(t *testing.T) {
 }
 
 var _ = addr.Addr(0) // keep import if helpers change
+
+// optMisses returns the miss count of a fully-associative cache of the
+// given capacity (in blocks) under Belady's optimal offline replacement —
+// the paper's "perfect replacement policy" lower bound, and the reference
+// the LRU models are checked against.  The input is the
+// block-address sequence of the trace.
+func optMisses(blocks []uint64, capacity int) uint64 {
+	if capacity <= 0 {
+		return uint64(len(blocks))
+	}
+	// next[i] = position of the next use of blocks[i] after i (len = never).
+	n := len(blocks)
+	next := make([]int, n)
+	last := make(map[uint64]int, capacity*2)
+	for i := n - 1; i >= 0; i-- {
+		if j, ok := last[blocks[i]]; ok {
+			next[i] = j
+		} else {
+			next[i] = n
+		}
+		last[blocks[i]] = i
+	}
+
+	resident := make(map[uint64]int, capacity) // block → next use position
+	var misses uint64
+	for i, b := range blocks {
+		if _, ok := resident[b]; ok {
+			resident[b] = next[i]
+			continue
+		}
+		misses++
+		if len(resident) >= capacity {
+			// Evict the block whose next use is farthest in the future.
+			victim, far := uint64(0), -1
+			for blk, nu := range resident {
+				if nu > far {
+					victim, far = blk, nu
+				}
+			}
+			delete(resident, victim)
+		}
+		resident[b] = next[i]
+	}
+	return misses
+}
+
+// blockSequence extracts the block-address sequence of a trace under the
+// layout, the input format optMisses expects.
+func blockSequence(tr trace.Trace, l addr.Layout) []uint64 {
+	out := make([]uint64, len(tr))
+	for i, a := range tr {
+		out[i] = l.Block(a.Addr)
+	}
+	return out
+}

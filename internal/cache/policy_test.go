@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"cacheuniformity/internal/rng"
 )
 
 func TestLRUSetSequence(t *testing.T) {
@@ -137,4 +140,124 @@ func TestSingleWayPolicies(t *testing.T) {
 			t.Errorf("%s: single-way victim = %d", p.Name(), v)
 		}
 	}
+}
+
+// The replacement policies below are not used by any model the programs
+// build (the paper uses LRU throughout); they exercise the Policy and
+// WaysValidator seams of the cache constructors.
+
+// FIFO evicts in fill order, ignoring hits.
+type FIFO struct{}
+
+// Name implements Policy.
+func (FIFO) Name() string { return "fifo" }
+
+// NewSet implements Policy.
+func (FIFO) NewSet(ways int) SetPolicy { return &fifoSet{ways: ways} }
+
+type fifoSet struct {
+	ways int
+	next int
+}
+
+func (s *fifoSet) Touch(int) {}
+
+func (s *fifoSet) Fill(way int) {
+	// Fills land on empty ways in ascending order and then on Victim, so
+	// the queue pointer simply follows the fill position.
+	if way == s.next {
+		s.next = (s.next + 1) % s.ways
+	}
+}
+
+func (s *fifoSet) Victim() int { return s.next }
+
+// Random evicts a uniformly random way, seeded for reproducibility.
+type Random struct {
+	// Seed makes the stream reproducible; two caches with the same seed
+	// evict identically.
+	Seed uint64
+}
+
+// Name implements Policy.
+func (Random) Name() string { return "random" }
+
+// NewSet implements Policy.
+func (r Random) NewSet(ways int) SetPolicy {
+	return &randomSet{ways: ways, src: rng.New(r.Seed)}
+}
+
+type randomSet struct {
+	ways int
+	src  *rng.Source
+}
+
+func (s *randomSet) Touch(int) {}
+
+func (s *randomSet) Fill(int) {}
+
+func (s *randomSet) Victim() int { return s.src.Intn(s.ways) }
+
+// ValidateWays implements WaysValidator: the replacement tree needs a
+// power-of-two associativity.
+func (PLRU) ValidateWays(ways int) error {
+	if ways&(ways-1) != 0 {
+		return fmt.Errorf("cache: PLRU requires power-of-two associativity, got %d ways", ways)
+	}
+	return nil
+}
+
+// PLRU is tree-based pseudo-LRU, the common hardware approximation.  Ways
+// must be a power of two.
+type PLRU struct{}
+
+// Name implements Policy.
+func (PLRU) Name() string { return "plru" }
+
+// NewSet implements Policy.  The power-of-two requirement is validated by
+// every constructor via WaysValidator; reaching here with a bad count is a
+// programmer error, so the panic stays as an invariant check.
+func (PLRU) NewSet(ways int) SetPolicy {
+	if ways&(ways-1) != 0 {
+		panic("cache: PLRU requires power-of-two associativity")
+	}
+	return &plruSet{ways: ways, bits: make([]bool, ways)} // bits[1..ways-1] used
+}
+
+type plruSet struct {
+	ways int
+	bits []bool // heap-indexed tree; bits[i] false → left subtree is older
+}
+
+func (s *plruSet) Touch(way int) {
+	// Walk from root to leaf, pointing each node away from the touched way.
+	node := 1
+	for width := s.ways / 2; width >= 1; width /= 2 {
+		right := way/width%2 == 1
+		s.bits[node] = !right // point to the *other* side as older
+		node = node*2 + b2i(right)
+	}
+}
+
+func (s *plruSet) Fill(way int) { s.Touch(way) }
+
+func (s *plruSet) Victim() int {
+	node := 1
+	way := 0
+	for width := s.ways / 2; width >= 1; width /= 2 {
+		if s.bits[node] { // true → left is newer, evict from... see Touch
+			node = node*2 + 1
+			way += width
+		} else {
+			node = node * 2
+		}
+	}
+	return way
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

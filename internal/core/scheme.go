@@ -42,18 +42,6 @@ const (
 	KindDynamic = registry.FamilyDynamic
 )
 
-// BuildFunc constructs a fresh model for a layout; see
-// registry.BuildFunc for the profile factory's contract.
-type BuildFunc = registry.BuildFunc
-
-// ProfileBuildFunc constructs a model from a benchmark's shared profile;
-// see registry.ProfileBuildFunc.
-type ProfileBuildFunc = registry.ProfileBuildFunc
-
-// AMATFunc computes a scheme's average memory access time from its
-// counters and the L1 miss penalty.
-type AMATFunc = registry.AMATFunc
-
 // Scheme is a named, buildable cache organisation.
 type Scheme = registry.Scheme
 

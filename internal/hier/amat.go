@@ -69,18 +69,3 @@ func AMATColumnAssociative(ctr cache.Counters, missPenalty float64) float64 {
 		fRehashMiss*mr*(missPenalty+1) +
 		(1-fRehashMiss)*mr*missPenalty
 }
-
-// AMATMeasured charges each access its observed probe cycles (AccessResult
-// .HitCycles aggregated by the model's counters cannot express this, so
-// the caller supplies total observed hit cycles) — see Hierarchy, which
-// tracks cycles exactly.  It is the cross-check for the closed-form
-// equations above:
-//
-//	AMAT = (hitCycles + misses×(L1Hit + missPenalty)) / accesses
-func AMATMeasured(hitCycles uint64, ctr cache.Counters, lat Latencies, missPenalty float64) float64 {
-	if ctr.Accesses == 0 {
-		return 0
-	}
-	total := float64(hitCycles) + float64(ctr.Misses)*(lat.L1Hit+missPenalty)
-	return total / float64(ctr.Accesses)
-}

@@ -53,11 +53,11 @@ func TestAMATColumnAssociativeEq9(t *testing.T) {
 func TestAMATMeasured(t *testing.T) {
 	ctr := cache.Counters{Accesses: 100, Hits: 90, Misses: 10}
 	// 90 hits costing 1 cycle each; misses cost 1+20.
-	got := AMATMeasured(90, ctr, DefaultLatencies, 20)
+	got := amatMeasured(90, ctr, DefaultLatencies, 20)
 	if !almost(got, (90+10*21)/100.0) {
-		t.Errorf("AMATMeasured = %v", got)
+		t.Errorf("amatMeasured = %v", got)
 	}
-	if AMATMeasured(0, cache.Counters{}, DefaultLatencies, 20) != 0 {
+	if amatMeasured(0, cache.Counters{}, DefaultLatencies, 20) != 0 {
 		t.Error("idle measured AMAT nonzero")
 	}
 }
@@ -76,4 +76,19 @@ func TestAMATOrderingMatchesPaper(t *testing.T) {
 	if a <= c {
 		t.Errorf("adaptive AMAT %v <= column AMAT %v for same counters", a, c)
 	}
+}
+
+// amatMeasured charges each access its observed probe cycles (AccessResult
+// .HitCycles aggregated by the model's counters cannot express this, so
+// the caller supplies total observed hit cycles) — see Hierarchy, which
+// tracks cycles exactly.  It is the cross-check for the closed-form
+// equations in amat.go:
+//
+//	AMAT = (hitCycles + misses×(L1Hit + missPenalty)) / accesses
+func amatMeasured(hitCycles uint64, ctr cache.Counters, lat Latencies, missPenalty float64) float64 {
+	if ctr.Accesses == 0 {
+		return 0
+	}
+	total := float64(hitCycles) + float64(ctr.Misses)*(lat.L1Hit+missPenalty)
+	return total / float64(ctr.Accesses)
 }

@@ -35,8 +35,8 @@ type Hierarchy struct {
 
 	// Cycles is the total memory-access cycles expended.
 	Cycles uint64
-	// L1DHitCycles accumulates the probe cycles of L1D hits, feeding
-	// AMATMeasured.
+	// L1DHitCycles accumulates the probe cycles of L1D hits, the input of
+	// a measured (rather than closed-form) AMAT.
 	L1DHitCycles uint64
 	// Accesses counts all references routed through the hierarchy.
 	Accesses uint64

@@ -143,11 +143,11 @@ func TestRunAndMeasuredAMATAgree(t *testing.T) {
 		tr = append(tr, read(uint64(i*97)%(1<<16)))
 	}
 	avg := h.Run(tr)
-	// Reconstruct via AMATMeasured with the hierarchy's effective penalty.
+	// Reconstruct via amatMeasured with the hierarchy's effective penalty.
 	ctr := h.L1D().Counters()
 	// Effective penalty must be derived from actual L2 behaviour on misses.
 	// We verify only coarse agreement (same cycle budget split).
-	manual := AMATMeasured(h.L1DHitCycles, ctr, DefaultLatencies, h.EffectiveMissPenalty())
+	manual := amatMeasured(h.L1DHitCycles, ctr, DefaultLatencies, h.EffectiveMissPenalty())
 	if avg < 1 || manual < 1 {
 		t.Fatalf("degenerate AMATs: %v %v", avg, manual)
 	}

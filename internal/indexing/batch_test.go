@@ -33,7 +33,7 @@ func TestIndexBatchMatchesIndex(t *testing.T) {
 		MustOddMultiplier(l, 61), NewPrimeModulo(l),
 		BitSelection{SchemeName: "givargis", Positions: []uint{5, 6, 12, 33, 40, 41, 50, 63, 8, 9}},
 		GivargisXOR{L: l, TagBits: []uint{15, 20, 21, 25, 31, 34, 47, 52, 60, 62}},
-		MustPolynomial(l), sb, SandyBridge{L: l, Slices: 3},
+		mustPolynomial(l), sb, SandyBridge{L: l, Slices: 3},
 		maskIndex{},
 	}
 	src := rng.New(11)

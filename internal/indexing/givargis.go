@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	mathbits "math/bits"
 
 	"cacheuniformity/internal/addr"
@@ -46,15 +45,10 @@ type GivargisProfile struct {
 	Candidates []uint
 }
 
-// ProfileGivargis computes quality and correlation statistics over the
-// unique block addresses of the trace.
-func ProfileGivargis(tr trace.Trace, l addr.Layout, cfg GivargisConfig) (*GivargisProfile, error) {
-	return ProfileGivargisStream(tr.NewBatchReader(), l, cfg)
-}
-
-// ProfileGivargisStream is ProfileGivargis over a batched stream: one pass
-// accumulates the unique-address population and weights, so memory is
-// O(unique blocks) — the profile itself — rather than O(trace length).
+// ProfileGivargisStream computes quality and correlation statistics over
+// the unique block addresses of a batched stream: one pass accumulates the
+// unique-address population and weights, so memory is O(unique blocks) —
+// the profile itself — rather than O(trace length).
 func ProfileGivargisStream(r trace.BatchReader, l addr.Layout, cfg GivargisConfig) (*GivargisProfile, error) {
 	var uniq []addr.Addr
 	var weights []uint64
@@ -259,14 +253,9 @@ func (p *GivargisProfile) SelectBits(m int) ([]uint, error) {
 	return chosen, nil
 }
 
-// NewGivargis builds the Givargis index function for the layout by
-// profiling the trace and selecting the layout's index-bit count.
-func NewGivargis(tr trace.Trace, l addr.Layout, cfg GivargisConfig) (BitSelection, error) {
-	return NewGivargisStream(tr.NewBatchReader(), l, cfg)
-}
-
-// NewGivargisStream is NewGivargis over a single profiling pass of a
-// batched stream.
+// NewGivargisStream builds the Givargis index function for the layout by
+// profiling a batched stream in one pass and selecting the layout's
+// index-bit count.
 func NewGivargisStream(r trace.BatchReader, l addr.Layout, cfg GivargisConfig) (BitSelection, error) {
 	prof, err := ProfileGivargisStream(r, l, cfg)
 	if err != nil {
@@ -288,15 +277,9 @@ type GivargisXOR struct {
 	TagBits []uint
 }
 
-// NewGivargisXOR profiles the trace, selects the highest-quality
-// low-correlation bits from the tag region, and XORs them with the
-// conventional index.
-func NewGivargisXOR(tr trace.Trace, l addr.Layout, cfg GivargisConfig) (GivargisXOR, error) {
-	return NewGivargisXORStream(tr.NewBatchReader(), l, cfg)
-}
-
-// NewGivargisXORStream is NewGivargisXOR over a single profiling pass of a
-// batched stream.
+// NewGivargisXORStream profiles a batched stream in one pass, selects the
+// highest-quality low-correlation bits from the tag region, and XORs them
+// with the conventional index.
 func NewGivargisXORStream(r trace.BatchReader, l addr.Layout, cfg GivargisConfig) (GivargisXOR, error) {
 	prof, err := ProfileGivargisStream(r, l, cfg)
 	if err != nil {
@@ -347,16 +330,4 @@ func (g GivargisXOR) Index(a addr.Addr) int {
 		mask |= a.Bit(p) << i
 	}
 	return int((idx ^ mask) & (uint64(g.L.Sets()) - 1))
-}
-
-// QualityEntropy returns the Shannon entropy (in bits) a bit position with
-// quality q contributes, a convenience for diagnostics: q relates to the
-// zero/one split s via q = min(s,1-s)/max(s,1-s).
-func QualityEntropy(q float64) float64 {
-	if q <= 0 {
-		return 0
-	}
-	// q = p/(1-p) for p ≤ 1/2  ⇒  p = q/(1+q).
-	p := q / (1 + q)
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }

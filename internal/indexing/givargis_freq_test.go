@@ -17,11 +17,11 @@ func TestFrequencyWeightedQualityDiffers(t *testing.T) {
 		tr = append(tr, trace.Access{Addr: 1 << 8, Kind: trace.Read})
 		tr = append(tr, trace.Access{Addr: addr.Addr(addrOf(i)), Kind: trace.Read})
 	}
-	uw, err := ProfileGivargis(tr, layout, GivargisConfig{})
+	uw, err := ProfileGivargisStream(tr.NewBatchReader(), layout, GivargisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := ProfileGivargis(tr, layout, GivargisConfig{FrequencyWeighted: true})
+	fw, err := ProfileGivargisStream(tr.NewBatchReader(), layout, GivargisConfig{FrequencyWeighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestFrequencyWeightedStillValidFunc(t *testing.T) {
 	for i := uint64(0); i < 3000; i++ {
 		addrs = append(addrs, i*44+(i%9)*32768)
 	}
-	g, err := NewGivargis(traceOf(addrs...), layout, GivargisConfig{FrequencyWeighted: true})
+	g, err := NewGivargisStream(traceOf(addrs...).NewBatchReader(), layout, GivargisConfig{FrequencyWeighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestWeightedAndUnweightedAgreeOnUniformTrace(t *testing.T) {
 		addrs = append(addrs, i*32)
 	}
 	tr := traceOf(addrs...)
-	uw, err := ProfileGivargis(tr, layout, GivargisConfig{})
+	uw, err := ProfileGivargisStream(tr.NewBatchReader(), layout, GivargisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := ProfileGivargis(tr, layout, GivargisConfig{FrequencyWeighted: true})
+	fw, err := ProfileGivargisStream(tr.NewBatchReader(), layout, GivargisConfig{FrequencyWeighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func traceOf(addrs ...uint64) trace.Trace {
 }
 
 func TestProfileGivargisEmpty(t *testing.T) {
-	if _, err := ProfileGivargis(nil, layout, GivargisConfig{}); err == nil {
+	if _, err := ProfileGivargisStream(traceOf().NewBatchReader(), layout, GivargisConfig{}); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
@@ -27,7 +27,7 @@ func TestGivargisQuality(t *testing.T) {
 	// Four unique blocks where bit 5 alternates evenly (quality 1) and
 	// bit 6 is constant (quality 0).
 	tr := traceOf(0<<5, 1<<5, 2<<7, 2<<7|1<<5)
-	p, err := ProfileGivargis(tr, layout, GivargisConfig{})
+	p, err := ProfileGivargisStream(tr.NewBatchReader(), layout, GivargisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestGivargisCorrelation(t *testing.T) {
 		1<<7,
 		1<<5|1<<6|1<<7,
 	)
-	p, err := ProfileGivargis(tr, layout, GivargisConfig{})
+	p, err := ProfileGivargisStream(tr.NewBatchReader(), layout, GivargisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSelectBitsPrefersQualityAndDecorrelates(t *testing.T) {
 	// check the selector never picks a zero-quality bit while positive-
 	// quality candidates remain.
 	tr := traceOf(0, 1<<5, 1<<6, 1<<5|1<<6, 1<<8, 1<<8|1<<5)
-	p, err := ProfileGivargis(tr, layout, GivargisConfig{})
+	p, err := ProfileGivargisStream(tr.NewBatchReader(), layout, GivargisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSelectBitsPrefersQualityAndDecorrelates(t *testing.T) {
 
 func TestSelectBitsErrors(t *testing.T) {
 	tr := traceOf(0, 1<<5)
-	p, err := ProfileGivargis(tr, layout, GivargisConfig{})
+	p, err := ProfileGivargisStream(tr.NewBatchReader(), layout, GivargisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestNewGivargisContract(t *testing.T) {
 	for i := uint64(0); i < 4000; i++ {
 		addrs = append(addrs, i*96+(i%7)*4096)
 	}
-	g, err := NewGivargis(traceOf(addrs...), layout, GivargisConfig{})
+	g, err := NewGivargisStream(traceOf(addrs...).NewBatchReader(), layout, GivargisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestNewGivargisXORContract(t *testing.T) {
 	for i := uint64(0); i < 4000; i++ {
 		addrs = append(addrs, i*32+(i%13)*65536)
 	}
-	g, err := NewGivargisXOR(traceOf(addrs...), layout, GivargisConfig{})
+	g, err := NewGivargisXORStream(traceOf(addrs...).NewBatchReader(), layout, GivargisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,24 +169,9 @@ func TestGivargisIncludeOffsetBits(t *testing.T) {
 	for i := uint64(0); i < 2000; i++ {
 		addrs = append(addrs, i*36+1)
 	}
-	g, err := NewGivargis(traceOf(addrs...), layout, GivargisConfig{IncludeOffsetBits: true})
+	g, err := NewGivargisStream(traceOf(addrs...).NewBatchReader(), layout, GivargisConfig{IncludeOffsetBits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkFuncContract(t, g, layout)
-}
-
-func TestQualityEntropy(t *testing.T) {
-	if e := QualityEntropy(1); math.Abs(e-1) > 1e-12 {
-		t.Errorf("entropy of perfect quality = %v, want 1", e)
-	}
-	if e := QualityEntropy(0); e != 0 {
-		t.Errorf("entropy of zero quality = %v", e)
-	}
-	if e := QualityEntropy(-1); e != 0 {
-		t.Errorf("entropy of negative quality = %v", e)
-	}
-	if a, b := QualityEntropy(0.3), QualityEntropy(0.6); a >= b {
-		t.Errorf("entropy not monotone in quality: %v >= %v", a, b)
-	}
 }

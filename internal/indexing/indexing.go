@@ -12,7 +12,6 @@
 //   - PrimeModulo   — set = block mod p, p prime ≤ S [Kharbutli et al.]
 //   - Givargis      — profile-driven address-bit selection [Givargis]
 //   - GivargisXOR   — this paper's hybrid: Givargis-selected tag bits XOR index
-//   - Patel         — exhaustive optimal bit selection [Patel et al.]
 //   - SandyBridge   — Intel LLC slice hash via parity masks [Maurice et al.]
 //
 // All functions operate at block granularity: two addresses in the same
@@ -146,18 +145,6 @@ func NewPrimeModulo(l addr.Layout) PrimeModulo {
 	return PrimeModulo{L: l, P: uint64(p)}
 }
 
-// NewPrimeModuloWith returns a prime-modulo function with an explicit
-// modulus; it returns an error if p is not prime or exceeds the set count.
-func NewPrimeModuloWith(l addr.Layout, p int) (PrimeModulo, error) {
-	if p > l.Sets() {
-		return PrimeModulo{}, fmt.Errorf("indexing: prime %d exceeds set count %d", p, l.Sets())
-	}
-	if !IsPrime(p) {
-		return PrimeModulo{}, fmt.Errorf("indexing: %d is not prime", p)
-	}
-	return PrimeModulo{L: l, P: uint64(p)}, nil
-}
-
 // Name implements Func.
 func (PrimeModulo) Name() string { return "prime_modulo" }
 
@@ -171,8 +158,8 @@ func (p PrimeModulo) Index(a addr.Addr) int {
 
 // BitSelection indexes by concatenating arbitrary address bit positions:
 // bit Positions[i] of the address becomes bit i of the set number.  It is
-// the executable form produced by the Givargis and Patel algorithms, and is
-// exported so callers can construct hand-picked indexes in ablations.
+// the executable form produced by the Givargis algorithm, and is exported
+// so callers can construct hand-picked indexes in ablations.
 type BitSelection struct {
 	// SchemeName is reported by Name.
 	SchemeName string

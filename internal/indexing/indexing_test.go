@@ -125,19 +125,8 @@ func TestPrimeModulo(t *testing.T) {
 		}
 	}
 	checkFuncContract(t, pm, layout)
-}
-
-func TestNewPrimeModuloWith(t *testing.T) {
-	if _, err := NewPrimeModuloWith(layout, 2048); err == nil {
-		t.Error("prime above set count accepted")
-	}
-	if _, err := NewPrimeModuloWith(layout, 1000); err == nil {
-		t.Error("composite modulus accepted")
-	}
-	pm, err := NewPrimeModuloWith(layout, 509)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A smaller prime fragments further but keeps the contract.
+	pm = PrimeModulo{L: layout, P: 509}
 	if pm.Sets() != 509 {
 		t.Errorf("Sets = %d", pm.Sets())
 	}

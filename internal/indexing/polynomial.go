@@ -55,29 +55,6 @@ func NewPolynomial(l addr.Layout) (Polynomial, error) {
 	return Polynomial{L: l, Poly: p}, nil
 }
 
-// NewPolynomialWith uses an explicit modulus; its degree must equal the
-// layout's index width.
-func NewPolynomialWith(l addr.Layout, poly uint64) (Polynomial, error) {
-	if poly == 0 {
-		return Polynomial{}, fmt.Errorf("indexing: zero polynomial")
-	}
-	if deg := uint(bits.Len64(poly)) - 1; deg != l.IndexBits {
-		return Polynomial{}, fmt.Errorf("indexing: polynomial degree %d, need %d", deg, l.IndexBits)
-	}
-	return Polynomial{L: l, Poly: poly}, nil
-}
-
-// MustPolynomial is NewPolynomial but panics on error.
-//
-//lint:allow nopanic Must-prefixed variant documented to panic; callers with dynamic layouts use NewPolynomial.
-func MustPolynomial(l addr.Layout) Polynomial {
-	p, err := NewPolynomial(l)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Name implements Func.
 func (Polynomial) Name() string { return "polynomial" }
 

@@ -21,27 +21,22 @@ func TestPolynomialErrors(t *testing.T) {
 	if _, err := NewPolynomial(addr.MustLayout(32, 4, 32)); err == nil {
 		t.Error("degree without stock polynomial accepted")
 	}
-	if _, err := NewPolynomialWith(layout, 0); err == nil {
-		t.Error("zero polynomial accepted")
+}
+
+// mustPolynomial builds the stock polynomial hash for a layout that has
+// one, panicking otherwise.
+func mustPolynomial(l addr.Layout) Polynomial {
+	p, err := NewPolynomial(l)
+	if err != nil {
+		panic(err)
 	}
-	if _, err := NewPolynomialWith(layout, 0x13); err == nil {
-		t.Error("wrong-degree polynomial accepted")
-	}
-	if _, err := NewPolynomialWith(layout, 0x409); err != nil {
-		t.Errorf("valid polynomial rejected: %v", err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustPolynomial(bad) did not panic")
-		}
-	}()
-	MustPolynomial(addr.MustLayout(32, 4, 32))
+	return p
 }
 
 func TestPolynomialLowBlocksIdentity(t *testing.T) {
 	// Blocks below 2^m are their own remainder: polynomial hashing agrees
 	// with modulo on the first cache span.
-	p := MustPolynomial(layout)
+	p := mustPolynomial(layout)
 	m := NewModulo(layout)
 	for a := addr.Addr(0); a < 1024*32; a += 32 {
 		if p.Index(a) != m.Index(a) {
@@ -54,7 +49,7 @@ func TestPolynomialConflictFreeOnSpanStride(t *testing.T) {
 	// The signature property of an irreducible modulus: addresses exactly
 	// one cache span apart (deadly for modulo) map to distinct sets until
 	// the sets are exhausted.
-	p := MustPolynomial(layout)
+	p := mustPolynomial(layout)
 	seen := map[int]bool{}
 	for i := 0; i < 1024; i++ {
 		set := p.Index(addr.Addr(uint64(i) * 0x8000))
@@ -66,7 +61,7 @@ func TestPolynomialConflictFreeOnSpanStride(t *testing.T) {
 }
 
 func TestPolynomialSpreadsAllSets(t *testing.T) {
-	p := MustPolynomial(layout)
+	p := mustPolynomial(layout)
 	seen := map[int]bool{}
 	for i := uint64(0); i < 1<<16; i++ {
 		seen[p.Index(addr.Addr(i*32))] = true

@@ -28,22 +28,3 @@ func LargestPrimeLE(n int) int {
 	}
 	return 0
 }
-
-// PrimesLE returns all primes ≤ n ascending (sieve of Eratosthenes).
-func PrimesLE(n int) []int {
-	if n < 2 {
-		return nil
-	}
-	composite := make([]bool, n+1)
-	var out []int
-	for p := 2; p <= n; p++ {
-		if composite[p] {
-			continue
-		}
-		out = append(out, p)
-		for q := p * p; q <= n; q += p {
-			composite[q] = true
-		}
-	}
-	return out
-}

@@ -33,24 +33,24 @@ func TestLargestPrimeLE(t *testing.T) {
 }
 
 func TestPrimesLE(t *testing.T) {
-	got := PrimesLE(30)
+	got := primesLE(30)
 	want := []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
 	if len(got) != len(want) {
-		t.Fatalf("PrimesLE(30) = %v", got)
+		t.Fatalf("primesLE(30) = %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("PrimesLE(30) = %v", got)
+			t.Fatalf("primesLE(30) = %v", got)
 		}
 	}
-	if PrimesLE(1) != nil {
-		t.Error("PrimesLE(1) non-nil")
+	if primesLE(1) != nil {
+		t.Error("primesLE(1) non-nil")
 	}
 }
 
 func TestPrimesConsistency(t *testing.T) {
 	f := func(n uint8) bool {
-		ps := PrimesLE(int(n))
+		ps := primesLE(int(n))
 		for _, p := range ps {
 			if !IsPrime(p) {
 				return false
@@ -68,4 +68,24 @@ func TestPrimesConsistency(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// primesLE returns all primes ≤ n ascending (sieve of Eratosthenes): an
+// oracle for IsPrime independent of trial division.
+func primesLE(n int) []int {
+	if n < 2 {
+		return nil
+	}
+	composite := make([]bool, n+1)
+	var out []int
+	for p := 2; p <= n; p++ {
+		if composite[p] {
+			continue
+		}
+		out = append(out, p)
+		for q := p * p; q <= n; q += p {
+			composite[q] = true
+		}
+	}
+	return out
 }

@@ -1,10 +1,7 @@
 package indexing
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"math"
 
 	"cacheuniformity/internal/addr"
 	"cacheuniformity/internal/trace"
@@ -15,10 +12,10 @@ import (
 // workload, extracted in ONE pass over the stream: the unique-block
 // population with reference weights (Givargis' quality/correlation
 // statistics are functions of exactly this), and optionally the compact
-// block-level access sequence (Patel's exhaustive search is
-// order-sensitive).  One Profile per benchmark replaces the private
-// profiling replay every profile-driven scheme used to run — the grid's
-// pass count per benchmark drops to the floor of two (profile + replay).
+// block-level access sequence.  One Profile per benchmark replaces the
+// private profiling replay every profile-driven scheme used to run — the
+// grid's pass count per benchmark drops to the floor of two (profile +
+// replay).
 
 // Profile is the reusable profiling artifact of one workload under one
 // cache layout.
@@ -62,9 +59,8 @@ type Profiler struct {
 }
 
 // NewProfiler returns an empty profiler for the layout.  keepSeq retains
-// the collapsed block sequence (needed by SearchPatelProfile) at the cost
-// of O(trace)-bounded memory; without it the profiler holds only the
-// unique-block population.
+// the collapsed block sequence at the cost of O(trace)-bounded memory;
+// without it the profiler holds only the unique-block population.
 func NewProfiler(l addr.Layout, keepSeq bool) *Profiler {
 	return &Profiler{
 		layout:  l,
@@ -106,26 +102,6 @@ func (pr *Profiler) Profile() *Profile {
 		Weights:  pr.weights,
 		Accesses: pr.total,
 		BlockSeq: pr.seq,
-	}
-}
-
-// ProfileStream collects a Profile in one pass over a batched stream.
-func ProfileStream(r trace.BatchReader, l addr.Layout, keepSeq bool) (*Profile, error) {
-	pr := NewProfiler(l, keepSeq)
-	buf := make([]trace.Access, trace.DefaultBatch)
-	for {
-		n, err := r.ReadBatch(buf)
-		if n == 0 {
-			trace.CloseBatch(r)
-			if err != nil && !errors.Is(err, io.EOF) {
-				return nil, err
-			}
-			return pr.Profile(), nil
-		}
-		if err := pr.ConsumeBatch(buf[:n]); err != nil {
-			trace.CloseBatch(r)
-			return nil, err
-		}
 	}
 }
 
@@ -172,73 +148,4 @@ func NewGivargisXORFromProfile(p *Profile, cfg GivargisConfig) (GivargisXOR, err
 		return GivargisXOR{}, err
 	}
 	return givargisXORFromTables(gp, p.Layout)
-}
-
-// SearchPatelProfile is SearchPatel over a shared profile's retained block
-// sequence: every combination replays the in-memory compact sequence
-// instead of regenerating a stream, so the search costs one generator pass
-// (the profile's) total.  Cost, tie-breaking and the examined order are
-// identical to SearchPatel/SearchPatelStream on the same workload.
-func SearchPatelProfile(p *Profile, cfg PatelConfig) (PatelResult, error) {
-	if p.Accesses == 0 {
-		return PatelResult{}, fmt.Errorf("indexing: patel search on empty trace")
-	}
-	if p.BlockSeq == nil {
-		return PatelResult{}, fmt.Errorf("indexing: profile collected without the block sequence (keepSeq)")
-	}
-	l := p.Layout
-	m := int(l.IndexBits)
-	cands, err := patelCandidates(l, cfg, m)
-	if err != nil {
-		return PatelResult{}, err
-	}
-
-	best := PatelResult{Cost: math.MaxUint64}
-	comb := make([]int, m) // indices into cands
-	for i := range comb {
-		comb[i] = i
-	}
-	positions := make([]uint, m)
-	resident := make([]uint64, 1<<m) // block address + 1 per set; 0 = empty
-	for {
-		for i, ci := range comb {
-			positions[i] = cands[ci]
-		}
-		cost := replayBlockSeq(p.Blocks, p.BlockSeq, positions, resident)
-		best.Examined++
-		if cost < best.Cost {
-			fn, err := NewBitSelection("patel", positions)
-			if err != nil {
-				return PatelResult{}, err
-			}
-			best.Fn = fn
-			best.Cost = cost
-		}
-		if !nextCombination(comb, len(cands)) {
-			break
-		}
-	}
-	return best, nil
-}
-
-// replayBlockSeq is replayDirectMapped over a profile's compact block
-// sequence.
-func replayBlockSeq(blocks []addr.Addr, seq []uint32, positions []uint, resident []uint64) uint64 {
-	for i := range resident {
-		resident[i] = 0
-	}
-	var misses uint64
-	for _, si := range seq {
-		b := blocks[si]
-		var idx int
-		for i, p := range positions {
-			idx |= int(b.Bit(p)) << i
-		}
-		key := uint64(b) + 1
-		if resident[idx] != key {
-			misses++
-			resident[idx] = key
-		}
-	}
-	return misses
 }

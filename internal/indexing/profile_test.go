@@ -1,10 +1,13 @@
 package indexing
 
 import (
+	"errors"
+	"io"
 	"reflect"
 	"testing"
 
 	"cacheuniformity/internal/addr"
+	"cacheuniformity/internal/trace"
 	"cacheuniformity/internal/workload"
 )
 
@@ -24,9 +27,9 @@ func TestProfileEquivalenceAllWorkloads(t *testing.T) {
 		spec := workload.MustLookup(name)
 		sf := spec.StreamFunc(profTestSeed, profTestLen)
 
-		prof, err := ProfileStream(sf(), l, false)
+		prof, err := profileStream(sf(), l)
 		if err != nil {
-			t.Fatalf("%s: ProfileStream: %v", name, err)
+			t.Fatalf("%s: profileStream: %v", name, err)
 		}
 
 		fromStream, err := NewGivargisStream(sf(), l, GivargisConfig{})
@@ -67,9 +70,9 @@ func TestProfileTablesMatchStreamProfile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ProfileGivargisStream: %v", name, err)
 		}
-		prof, err := ProfileStream(sf(), l, false)
+		prof, err := profileStream(sf(), l)
 		if err != nil {
-			t.Fatalf("%s: ProfileStream: %v", name, err)
+			t.Fatalf("%s: profileStream: %v", name, err)
 		}
 		got, err := prof.Givargis(GivargisConfig{})
 		if err != nil {
@@ -84,7 +87,7 @@ func TestProfileTablesMatchStreamProfile(t *testing.T) {
 func TestProfileGivargisRejectsOffsetBits(t *testing.T) {
 	l := addr.MustLayout(32, 1024, 32)
 	sf := workload.MustLookup("fft").StreamFunc(profTestSeed, 1000)
-	prof, err := ProfileStream(sf(), l, false)
+	prof, err := profileStream(sf(), l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,44 +96,21 @@ func TestProfileGivargisRejectsOffsetBits(t *testing.T) {
 	}
 }
 
-func TestSearchPatelProfileMatchesStream(t *testing.T) {
-	// Small geometry keeps the exhaustive search fast: 16 sets (4 index
-	// bits) over a 20-bit address space.
-	l := addr.MustLayout(32, 16, 20)
-	cfg := PatelConfig{}
-	for _, name := range []string{"fft", "dijkstra"} {
-		spec := workload.MustLookup(name)
-		sf := spec.StreamFunc(profTestSeed, 8_000)
-
-		want, err := SearchPatelStream(sf, l, cfg)
-		if err != nil {
-			t.Fatalf("%s: SearchPatelStream: %v", name, err)
+// profileStream collects a Profile in one pass over a batched stream.
+func profileStream(r trace.BatchReader, l addr.Layout) (*Profile, error) {
+	pr := NewProfiler(l, false)
+	defer trace.CloseBatch(r)
+	buf := make([]trace.Access, trace.DefaultBatch)
+	for {
+		n, err := r.ReadBatch(buf)
+		if n == 0 {
+			if err != nil && !errors.Is(err, io.EOF) {
+				return nil, err
+			}
+			return pr.Profile(), nil
 		}
-		prof, err := ProfileStream(sf(), l, true)
-		if err != nil {
-			t.Fatalf("%s: ProfileStream: %v", name, err)
+		if err := pr.ConsumeBatch(buf[:n]); err != nil {
+			return nil, err
 		}
-		got, err := SearchPatelProfile(prof, cfg)
-		if err != nil {
-			t.Fatalf("%s: SearchPatelProfile: %v", name, err)
-		}
-		if got.Cost != want.Cost || got.Examined != want.Examined ||
-			!reflect.DeepEqual(got.Fn.Positions, want.Fn.Positions) {
-			t.Errorf("%s: patel diverges: stream {cost %d, examined %d, bits %v}, profile {cost %d, examined %d, bits %v}",
-				name, want.Cost, want.Examined, want.Fn.Positions,
-				got.Cost, got.Examined, got.Fn.Positions)
-		}
-	}
-}
-
-func TestSearchPatelProfileNeedsSequence(t *testing.T) {
-	l := addr.MustLayout(32, 16, 20)
-	sf := workload.MustLookup("fft").StreamFunc(profTestSeed, 1000)
-	prof, err := ProfileStream(sf(), l, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SearchPatelProfile(prof, PatelConfig{}); err == nil {
-		t.Error("SearchPatelProfile accepted a profile without the block sequence")
 	}
 }

@@ -3,6 +3,7 @@ package lint_test
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"cacheuniformity/internal/lint"
@@ -29,6 +30,27 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
+var (
+	moduleOnce sync.Once
+	modulePkgs []*load.Package
+	moduleErr  error
+)
+
+// modulePackages loads and type-checks the root module's ./... once per
+// test binary; every whole-module check shares the result.
+func modulePackages(t *testing.T) []*load.Package {
+	t.Helper()
+	root := moduleRoot(t)
+	moduleOnce.Do(func() { modulePkgs, moduleErr = load.Module(root, "./...") })
+	if moduleErr != nil {
+		t.Fatalf("loading module packages: %v", moduleErr)
+	}
+	if len(modulePkgs) == 0 {
+		t.Fatal("module load returned no packages")
+	}
+	return modulePkgs
+}
+
 // TestRepoIsLintClean runs the full analyzer suite over this repository's
 // own packages — the same gate `make lint` applies — so an ordinary
 // `go test ./...` catches a new violation (or an unjustified //lint:allow)
@@ -37,14 +59,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module; skipped in -short")
 	}
-	pkgs, err := load.Module(moduleRoot(t), "./...")
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("module load returned no packages")
-	}
-	findings, err := lint.Run(pkgs, lint.Suite())
+	findings, err := lint.Run(modulePackages(t), lint.Suite())
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
@@ -53,5 +68,23 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 	if len(findings) > 0 {
 		t.Logf("%d finding(s); fix the code or add a justified //lint:allow (see DESIGN.md § Enforced invariants)", len(findings))
+	}
+}
+
+// TestNoDeadDecls fails on any package-level func, type or var under
+// internal/ that no non-test code uses, counting both this module and the
+// perfbench module (its own go.mod, so `make lint` never loads it).  Delete
+// such a declaration, or move it into the _test.go file that uses it.
+func TestNoDeadDecls(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks two modules; skipped in -short")
+	}
+	root := modulePackages(t)
+	bench, err := load.Module(filepath.Join(moduleRoot(t), "perfbench"), "./...")
+	if err != nil {
+		t.Fatalf("loading perfbench packages: %v", err)
+	}
+	for _, d := range deadDecls(root, root, bench) {
+		t.Error(d)
 	}
 }

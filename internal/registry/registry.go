@@ -49,7 +49,7 @@ const (
 
 // BuildFunc constructs a fresh model for a layout.  The profile factory
 // yields a replayable stream of the workload; it is only invoked by
-// profile-driven schemes (Givargis, Patel), which consume one whole
+// profile-driven schemes (Givargis), which consume one whole
 // stream per profiling pass.  Builders must not retain the factory.
 type BuildFunc func(l addr.Layout, profile trace.StreamFunc) (cache.Model, error)
 

@@ -8,12 +8,12 @@ import "errors"
 // GET /v1/storestats.
 
 // ErrBadCellKey rejects DeleteCell keys that are not 64 lowercase hex
-// digits — the only shape CellKey ever produces.
+// digits — the only shape CellKeyDecl ever produces.
 var ErrBadCellKey = errors.New("resultstore: cell key must be 64 lowercase hex digits")
 
 // DeleteCell evicts one cell everywhere it is cached: the in-memory
 // LRU and both on-disk manifest forms.  The key must be a cell key as
-// produced by CellKey/CellKeyDecl; anything else is rejected so an
+// produced by CellKeyDecl; anything else is rejected so an
 // admin typo cannot unlink an arbitrary path.  Deleting a cell that is
 // mid-computation is safe — the in-flight leader persists after this
 // returns and simply re-caches it, the same way a GC eviction races a

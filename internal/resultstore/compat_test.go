@@ -30,7 +30,7 @@ func writeLegacyStore(t *testing.T, dir string, n int) (keys []string, results [
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, err := CellKey(c, "xor", "crc", CodeVersion)
+		key, err := cellKey(c, "xor", "crc", CodeVersion)
 		if err != nil {
 			t.Fatal(err)
 		}

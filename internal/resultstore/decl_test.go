@@ -18,7 +18,7 @@ import (
 func TestCellKeyDeclCanonicalises(t *testing.T) {
 	cfg := core.Config{}
 
-	byName, err := CellKey(cfg, "victim", "crc", CodeVersion)
+	byName, err := cellKey(cfg, "victim", "crc", CodeVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestFillPeekRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := CellKey(cfg, "xor", "crc", donor.Version())
+	key, err := cellKey(cfg, "xor", "crc", donor.Version())
 	if err != nil {
 		t.Fatal(err)
 	}

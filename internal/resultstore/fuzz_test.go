@@ -14,7 +14,7 @@ const fuzzVersion = "fuzz"
 func fuzzSeedManifest(tb testing.TB) (string, []byte) {
 	tb.Helper()
 	cfg := core.Default().Canonical()
-	key, err := CellKey(cfg, "xor", "crc", fuzzVersion)
+	key, err := cellKey(cfg, "xor", "crc", fuzzVersion)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -63,14 +63,6 @@ func CellKeyDecl(cfg core.Config, scheme, bench registry.Decl, version string) (
 	return CellKeyCanonical(cfg, sc.Decl, bd, version)
 }
 
-// CellKey is CellKeyDecl over default-roster names: the scheme name
-// resolves to its registry declaration and the benchmark name to its
-// kernel declaration, so name-based requests and the equivalent declared
-// compositions address the same cell.
-func CellKey(cfg core.Config, scheme, bench, version string) (string, error) {
-	return CellKeyDecl(cfg, registry.Decl{Name: scheme}, registry.Decl{Name: bench}, version)
-}
-
 // CellKeyCanonical is CellKeyDecl over declarations that are already
 // canonical — a core.Scheme's Decl from registry.ResolveScheme and the
 // declaration registry.ResolveWorkload returns — for callers that

@@ -6,10 +6,11 @@ import (
 
 	"cacheuniformity/internal/addr"
 	"cacheuniformity/internal/core"
+	"cacheuniformity/internal/registry"
 )
 
 func TestCellKeyCollapsesEquivalentConfigs(t *testing.T) {
-	want, err := CellKey(core.Config{}, "xor", "crc", CodeVersion)
+	want, err := cellKey(core.Config{}, "xor", "crc", CodeVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestCellKeyCollapsesEquivalentConfigs(t *testing.T) {
 		{TraceLength: 300_000, Seed: 20110913},
 	}
 	for i, cfg := range equivalents {
-		got, err := CellKey(cfg, "xor", "crc", CodeVersion)
+		got, err := cellKey(cfg, "xor", "crc", CodeVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,18 +54,18 @@ func TestCellKeyGolden(t *testing.T) {
 		{parallel, "xor", "sha", "a47919c510523394b827c1ba33ae86f03dca5945ece5073676a8ed762954886c"},
 	}
 	for _, c := range cases {
-		got, err := CellKey(c.cfg, c.scheme, c.bench, CodeVersion)
+		got, err := cellKey(c.cfg, c.scheme, c.bench, CodeVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != c.want {
-			t.Errorf("CellKey(%s, %s) = %s, want %s", c.scheme, c.bench, got, c.want)
+			t.Errorf("cellKey(%s, %s) = %s, want %s", c.scheme, c.bench, got, c.want)
 		}
 	}
 }
 
 func TestCellKeyDiscriminates(t *testing.T) {
-	base, err := CellKey(core.Config{}, "xor", "crc", CodeVersion)
+	base, err := cellKey(core.Config{}, "xor", "crc", CodeVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestCellKeyDiscriminates(t *testing.T) {
 		{"miss penalty", core.Config{MissPenalty: 21}, "xor", "crc", CodeVersion},
 	}
 	for _, v := range variants {
-		got, err := CellKey(v.cfg, v.scheme, v.bench, v.version)
+		got, err := cellKey(v.cfg, v.scheme, v.bench, v.version)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,4 +93,12 @@ func TestCellKeyDiscriminates(t *testing.T) {
 			t.Errorf("%s change did not change the key", v.name)
 		}
 	}
+}
+
+// cellKey is CellKeyDecl over default-roster names: the scheme name
+// resolves to its registry declaration and the benchmark name to its
+// kernel declaration, so name-based requests and the equivalent declared
+// compositions address the same cell.
+func cellKey(cfg core.Config, scheme, bench, version string) (string, error) {
+	return CellKeyDecl(cfg, registry.Decl{Name: scheme}, registry.Decl{Name: bench}, version)
 }

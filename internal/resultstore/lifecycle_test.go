@@ -61,6 +61,29 @@ func diskUsage(t *testing.T, dir string) int64 {
 	return total
 }
 
+// lockedDiskUsage is diskUsage over s's directory taken while s can
+// neither publish nor unlink: it holds gcMu and then every disk stripe in
+// index order (the store's lock order), and every write or removal of an
+// artifact happens under a stripe, so the walk sums one instant's file
+// set.  An unlocked walk under concurrent writers is no snapshot: it can
+// count a file GC has since unlinked beside one published after it, which
+// never coexisted.  It also returns the ledger's bytes at that instant:
+// writers reserve before they write, so physical ≤ ledger holds under the
+// locks even while reservations are in flight.
+func lockedDiskUsage(t *testing.T, s *Store) (physical, ledger int64) {
+	s.gcMu.Lock()
+	defer s.gcMu.Unlock()
+	for i := range s.locks {
+		s.locks[i].disk.Lock()
+	}
+	defer func() {
+		for i := range s.locks {
+			s.locks[i].disk.Unlock()
+		}
+	}()
+	return diskUsage(t, s.dir), s.ledger.bytes.Load()
+}
+
 // TestQuotaNeverExceeded: filling far past the quota must trigger GC and
 // keep physical disk usage at or below the quota after every single
 // write — the reservation accounting's core invariant.

@@ -60,11 +60,12 @@ func TestStoreSoak(t *testing.T) {
 	cfg := tinyConfig()
 
 	var (
-		wrong         atomic.Int64
-		verifyHits    atomic.Int64
-		ledgerOver    atomic.Int64
-		diskOverQuota int64
-		heapPeak      uint64
+		wrong          atomic.Int64
+		verifyHits     atomic.Int64
+		ledgerOver     atomic.Int64
+		diskOverQuota  int64
+		diskOverLedger int64
+		heapPeak       uint64
 	)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
@@ -108,7 +109,9 @@ func TestStoreSoak(t *testing.T) {
 
 	// The monitor samples physical disk usage and heap while the writers
 	// run, so "disk <= quota" and "RSS bounded" are checked under load,
-	// not only at the finish line.
+	// not only at the finish line.  Each disk sample is taken under the
+	// store's locks, so it is one instant's usage, and is also checked
+	// against the ledger of that instant.
 	monitorDone := make(chan struct{})
 	go func() {
 		defer close(monitorDone)
@@ -120,8 +123,12 @@ func TestStoreSoak(t *testing.T) {
 			case <-monitorDone:
 				return
 			case <-tick.C:
-				if used := diskUsage(t, dir); used > quota {
+				used, ledger := lockedDiskUsage(t, s)
+				if used > quota {
 					diskOverQuota++
+				}
+				if used > ledger {
+					diskOverLedger++
 				}
 				runtime.ReadMemStats(&ms)
 				if ms.HeapAlloc > heapPeak {
@@ -157,6 +164,9 @@ func TestStoreSoak(t *testing.T) {
 	}
 	if diskOverQuota != 0 {
 		t.Errorf("disk usage exceeded the quota in %d samples", diskOverQuota)
+	}
+	if diskOverLedger != 0 {
+		t.Errorf("disk usage exceeded the ledger in %d samples", diskOverLedger)
 	}
 	if finalUsed > st.BytesUsed {
 		t.Errorf("physical %d exceeds ledger %d", finalUsed, st.BytesUsed)

@@ -231,7 +231,7 @@ func TestCrashRecovery(t *testing.T) {
 	if _, _, err := s1.Cell(ctx, cfg, "xor", "crc"); err != nil {
 		t.Fatal(err)
 	}
-	key, err := CellKey(cfg, "xor", "crc", s1.Version())
+	key, err := cellKey(cfg, "xor", "crc", s1.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// A manifest copied under the wrong key must not impersonate that key.
-	otherKey, err := CellKey(cfg, "baseline", "crc", s3.Version())
+	otherKey, err := cellKey(cfg, "baseline", "crc", s3.Version())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,9 @@ type BatchReader interface {
 
 // StreamFunc returns a fresh BatchReader replaying the same access
 // sequence on every call.  It is the repository's handle for a
-// *replayable* stream: profile-driven schemes (Givargis, Patel, the
-// Figure-5 selector) consume one stream to profile and a second to
-// replay, instead of holding a materialized trace between the passes.
+// *replayable* stream: profile-driven schemes (Givargis, the Figure-5
+// selector) consume one stream to profile and a second to replay,
+// instead of holding a materialized trace between the passes.
 type StreamFunc func() BatchReader
 
 // CloseBatch releases any resources held by a BatchReader (generator
@@ -103,7 +103,7 @@ func CollectBatch(r BatchReader, max int) (Trace, error) {
 // Cursor adapts a BatchReader to per-access iteration: it buffers one
 // batch internally and serves Next from it.  It is the one per-access view
 // of a stream, for consumers that must interleave several streams access
-// by access (RoundRobinBatch, StochasticBatch, workload.MixedBatch) or
+// by access (RoundRobinBatch, workload.MixedBatchCtx) or
 // inspect accesses one at a time.
 type Cursor struct {
 	r   BatchReader

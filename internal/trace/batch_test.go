@@ -72,43 +72,6 @@ func TestCollectBatchLimits(t *testing.T) {
 	}
 }
 
-func TestLimitBatchNonPositive(t *testing.T) {
-	tr := batchSample(10)
-	for _, n := range []int{0, -1} {
-		r := LimitBatch(tr.NewBatchReader(), n)
-		buf := make([]Access, 4)
-		if got, err := r.ReadBatch(buf); got != 0 || err != io.EOF {
-			t.Fatalf("LimitBatch(%d).ReadBatch = (%d, %v), want (0, io.EOF)", n, got, err)
-		}
-	}
-}
-
-func TestBatchCombinatorsOnEmptySources(t *testing.T) {
-	empty := Trace{}
-	buf := make([]Access, 4)
-	cases := []struct {
-		name string
-		r    BatchReader
-	}{
-		{"limit", LimitBatch(empty.NewBatchReader(), 10)},
-		{"filter", FilterBatch(empty.NewBatchReader(), func(Access) bool { return true })},
-		{"map", MapBatch(empty.NewBatchReader(), func(a Access) Access { return a })},
-		{"concat_none", ConcatBatch()},
-		{"concat_empty", ConcatBatch(empty.NewBatchReader(), empty.NewBatchReader())},
-		{"roundrobin", RoundRobinBatch(empty.NewBatchReader(), empty.NewBatchReader())},
-	}
-	for _, c := range cases {
-		if n, err := c.r.ReadBatch(buf); n != 0 || err != io.EOF {
-			t.Errorf("%s over empty sources: ReadBatch = (%d, %v), want (0, io.EOF)", c.name, n, err)
-		}
-	}
-	// FilterBatch that rejects everything must also terminate with EOF.
-	fr := FilterBatch(batchSample(50).NewBatchReader(), func(Access) bool { return false })
-	if n, err := fr.ReadBatch(buf); n != 0 || err != io.EOF {
-		t.Errorf("all-rejecting filter: ReadBatch = (%d, %v), want (0, io.EOF)", n, err)
-	}
-}
-
 func TestTraceStreamReplays(t *testing.T) {
 	tr := batchSample(33)
 	sf := tr.Stream()

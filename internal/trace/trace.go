@@ -6,9 +6,8 @@
 // trace-driven simulation: workload generators (package workload) emit
 // Access records, and the cache models consume them.  This package holds
 // the record type, in-memory traces, the batched streaming interface
-// (BatchReader), codecs for storing traces on disk, and stream
-// combinators (filtering, limiting, interleaving) used by the SMT
-// experiments.
+// (BatchReader), codecs for storing traces on disk, and the round-robin
+// interleave used by the SMT experiments.
 package trace
 
 import (
@@ -59,8 +58,8 @@ type Access struct {
 type Trace []Access
 
 // UniqueBlocks returns the distinct block addresses in the trace under the
-// given layout, in first-touch order.  The Givargis and Patel index
-// construction algorithms operate on this set.
+// given layout, in first-touch order.  Givargis' index construction
+// operates on this set.
 func (t Trace) UniqueBlocks(l addr.Layout) []addr.Addr {
 	seen := make(map[uint64]struct{}, len(t)/4+1)
 	var out []addr.Addr

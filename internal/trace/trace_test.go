@@ -35,6 +35,21 @@ type errBatchReader struct{ err error }
 
 func (e errBatchReader) ReadBatch([]Access) (int, error) { return 0, e.err }
 
+// failAfter yields tr, then fails every read with err.
+type failAfter struct {
+	tr  Trace
+	err error
+}
+
+func (f *failAfter) ReadBatch(dst []Access) (int, error) {
+	if len(f.tr) == 0 {
+		return 0, f.err
+	}
+	n := copy(dst, f.tr)
+	f.tr = f.tr[n:]
+	return n, nil
+}
+
 // TestCollectError checks that CollectBatch hands back a stream error
 // together with the accesses read before it.
 func TestCollectError(t *testing.T) {
@@ -42,8 +57,7 @@ func TestCollectError(t *testing.T) {
 	if _, err := CollectBatch(errBatchReader{sentinel}, 0); !errors.Is(err, sentinel) {
 		t.Errorf("CollectBatch error = %v", err)
 	}
-	r := ConcatBatch(mkTrace(1, 2).NewBatchReader(), errBatchReader{sentinel})
-	got, err := CollectBatch(r, 0)
+	got, err := CollectBatch(&failAfter{tr: mkTrace(1, 2), err: sentinel}, 0)
 	if !errors.Is(err, sentinel) || len(got) != 2 {
 		t.Errorf("CollectBatch after 2 accesses = (%v, %v), want the 2 accesses and the error", got, err)
 	}

@@ -8,27 +8,14 @@ import (
 	"cacheuniformity/internal/trace"
 )
 
-// InstructionStream synthesises an instruction-fetch trace (Kind=Fetch)
-// for the L1I side of the paper's split-cache configuration: sequential
-// 4-byte fetch runs inside loop bodies, backward branches re-entering the
-// loop, and calls into a Zipf-popular set of functions.  The paper's
-// headline experiments report D-cache behaviour, but its setup simulates
-// "32kB direct mapped L1 data and instruction caches" — this generator
-// lets the hierarchy exercise both.
-func InstructionStream(seed uint64, n int) trace.Trace {
-	return materialize(seed, n, instructionRun)
-}
-
-// InstructionBatch is the streaming form of InstructionStream.
-//
-//lint:allow ctxflow compatibility shim for context-free callers; cancellation-aware callers use InstructionBatchCtx.
-func InstructionBatch(seed uint64, n int) trace.BatchReader {
-	return InstructionBatchCtx(context.Background(), seed, n)
-}
-
-// InstructionBatchCtx is InstructionBatch bound to a context: the
-// generator pump stops when ctx is cancelled and ReadBatch surfaces the
-// context's error.
+// InstructionBatchCtx streams a synthetic instruction-fetch trace
+// (Kind=Fetch) for the L1I side of the paper's split-cache configuration:
+// sequential 4-byte fetch runs inside loop bodies, backward branches
+// re-entering the loop, and calls into a Zipf-popular set of functions.
+// The paper's headline experiments report D-cache behaviour, but its
+// setup simulates "32kB direct mapped L1 data and instruction caches" —
+// this generator lets the hierarchy exercise both.  The generator pump
+// stops when ctx is cancelled and ReadBatch surfaces the context's error.
 func InstructionBatchCtx(ctx context.Context, seed uint64, n int) trace.BatchReader {
 	return newGenStream(ctx, seed, n, 0, instructionRun)
 }
@@ -57,19 +44,12 @@ func instructionRun(g *gen) {
 	}
 }
 
-// MixedBatch streams an instruction stream interleaved with a data
+// MixedBatchCtx streams an instruction stream interleaved with a data
 // benchmark at the given fetches-per-data-access ratio (real integer
 // codes run ≈ 3-4 fetches per memory operand).  The result drives a split
 // L1I/L1D hierarchy; hier.Hierarchy routes Fetch accesses to the L1I.
-//
-//lint:allow ctxflow compatibility shim for context-free callers; cancellation-aware callers use MixedBatchCtx.
-func MixedBatch(spec Spec, seed uint64, n int, fetchesPerData int) trace.BatchReader {
-	return MixedBatchCtx(context.Background(), spec, seed, n, fetchesPerData)
-}
-
-// MixedBatchCtx is MixedBatch with both interleaved generator pumps
-// bound to ctx, so cancelling it releases the fetch and data goroutines
-// even mid-send.
+// Both interleaved generator pumps are bound to ctx, so cancelling it
+// releases the fetch and data goroutines even mid-send.
 func MixedBatchCtx(ctx context.Context, spec Spec, seed uint64, n int, fetchesPerData int) trace.BatchReader {
 	if fetchesPerData < 1 {
 		fetchesPerData = 3
@@ -84,25 +64,11 @@ func MixedBatchCtx(ctx context.Context, spec Spec, seed uint64, n int, fetchesPe
 	}
 }
 
-// MixedStreamFunc returns a replayable factory for MixedBatch streams.
-//
-//lint:allow ctxflow compatibility shim for context-free callers; cancellation-aware callers use MixedStreamFuncCtx.
-func MixedStreamFunc(spec Spec, seed uint64, n int, fetchesPerData int) trace.StreamFunc {
-	return func() trace.BatchReader { return MixedBatch(spec, seed, n, fetchesPerData) }
-}
-
-// MixedStreamFuncCtx is MixedStreamFunc with every produced reader bound
-// to ctx — the form sim.RunContext uses so a cancelled run stops its
-// mixed-stream pumps.
+// MixedStreamFuncCtx returns a replayable factory for MixedBatchCtx
+// streams, every produced reader bound to ctx — the form sim.RunContext
+// uses so a cancelled run stops its mixed-stream pumps.
 func MixedStreamFuncCtx(ctx context.Context, spec Spec, seed uint64, n int, fetchesPerData int) trace.StreamFunc {
 	return func() trace.BatchReader { return MixedBatchCtx(ctx, spec, seed, n, fetchesPerData) }
-}
-
-// MixedStream materializes a MixedBatch stream — kept as the slice-based
-// entry point for callers that need the whole trace in memory.
-func MixedStream(spec Spec, seed uint64, n int, fetchesPerData int) trace.Trace {
-	t, _ := trace.CollectBatch(MixedBatch(spec, seed, n, fetchesPerData), n)
-	return t
 }
 
 // mixedReader interleaves a fetch cursor with a data cursor: up to fpd

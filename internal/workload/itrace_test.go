@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"cacheuniformity/internal/cache"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestInstructionStreamAllFetches(t *testing.T) {
-	tr := InstructionStream(1, 30_000)
+	tr := collectStream(1, 30_000, instructionRun)
 	if len(tr) != 30_000 {
 		t.Fatalf("length = %d", len(tr))
 	}
@@ -26,7 +27,7 @@ func TestInstructionStreamAllFetches(t *testing.T) {
 func TestInstructionStreamLocality(t *testing.T) {
 	// Instruction fetch is the most cache-friendly stream there is: the
 	// L1I miss rate must be tiny.
-	tr := InstructionStream(2, 100_000)
+	tr := collectStream(2, 100_000, instructionRun)
 	l1i := mustCache(cache.Config{Layout: l32k, Ways: 1, WriteAllocate: true})
 	ctr := cache.Run(l1i, tr)
 	if ctr.MissRate() > 0.02 {
@@ -35,7 +36,7 @@ func TestInstructionStreamLocality(t *testing.T) {
 }
 
 func TestMixedStreamRatioAndRouting(t *testing.T) {
-	tr := MixedStream(MustLookup("dijkstra"), 3, 40_000, 3)
+	tr := collectMixed(t, MustLookup("dijkstra"), 3, 40_000, 3)
 	if len(tr) != 40_000 {
 		t.Fatalf("length = %d", len(tr))
 	}
@@ -70,8 +71,18 @@ func TestMixedStreamRatioAndRouting(t *testing.T) {
 }
 
 func TestMixedStreamDefaultsRatio(t *testing.T) {
-	tr := MixedStream(MustLookup("crc"), 1, 8_000, 0) // coerced to 3
+	tr := collectMixed(t, MustLookup("crc"), 1, 8_000, 0) // coerced to 3
 	if len(tr) != 8_000 {
 		t.Errorf("length = %d", len(tr))
 	}
+}
+
+// collectMixed drains a MixedBatchCtx stream into a slice.
+func collectMixed(t *testing.T, spec Spec, seed uint64, n, fetchesPerData int) trace.Trace {
+	t.Helper()
+	tr, err := trace.CollectBatch(MixedBatchCtx(context.Background(), spec, seed, n, fetchesPerData), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }

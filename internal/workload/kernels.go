@@ -31,26 +31,18 @@ const (
 )
 
 // gen is the builder shared by all kernels: it accumulates accesses and
-// owns the random source.  In materialized mode (newGen) out holds the
-// whole trace; in streaming mode a flush hook hands off each filled batch
-// so only one batch is ever resident (see stream.go).  Either way the
-// kernels run unchanged and consume the rng in the same order, so a
-// stream and a materialized trace from the same seed are identical.
+// owns the random source.  A flush hook hands off each filled batch so
+// only one batch is ever resident (see stream.go); the kernels consume the
+// rng in the same order whatever the batch size, so every stream from the
+// same seed is identical.
 type gen struct {
 	src     *rng.Source
 	out     trace.Trace
 	max     int
 	emitted int
-	// flush, when set, is called with the full batch and returns the
-	// buffer to continue emitting into.
+	// flush is called with the full batch and returns the buffer to
+	// continue emitting into.
 	flush func(trace.Trace) trace.Trace
-}
-
-func newGen(seed uint64, n int) *gen {
-	if n < 0 {
-		n = 0
-	}
-	return &gen{src: rng.New(seed), out: make(trace.Trace, 0, n), max: n}
 }
 
 func (g *gen) full() bool { return g.emitted >= g.max }
@@ -61,16 +53,9 @@ func (g *gen) emit(a uint64, k trace.Kind) {
 	}
 	g.out = append(g.out, trace.Access{Addr: addr.Addr(a), Kind: k})
 	g.emitted++
-	if g.flush != nil && len(g.out) == cap(g.out) {
+	if len(g.out) == cap(g.out) {
 		g.out = g.flush(g.out)
 	}
-}
-
-// materialize runs a kernel to completion into an n-capacity slice.
-func materialize(seed uint64, n int, run func(*gen)) trace.Trace {
-	g := newGen(seed, n)
-	run(g)
-	return g.out
 }
 
 // seq emits a sequential element-wise scan of count elements of elemSize

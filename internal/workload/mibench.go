@@ -5,12 +5,10 @@ import "cacheuniformity/internal/trace"
 // The MiBench-flavoured generators (paper Figures 1, 4, 6, 7, 9-14).
 // Parameter choices are annotated with the behaviour they model.
 
-// ADPCM models the adpcm speech codec: two long streaming buffers and a
+// adpcmRun models the adpcm speech codec: two long streaming buffers and a
 // tiny quantiser state.  The working set per iteration is a handful of
 // blocks, so the baseline direct-mapped cache already hits almost always —
 // the paper's Figure 4 shows 0% change for every indexing scheme.
-func ADPCM(seed uint64, n int) trace.Trace { return materialize(seed, n, adpcmRun) }
-
 func adpcmRun(g *gen) {
 	const chunk = 2048
 	for pos := 0; !g.full(); pos += chunk {
@@ -27,13 +25,11 @@ func adpcmRun(g *gen) {
 	}
 }
 
-// BasicMath models basicmath's small numeric kernels: a few small arrays
+// basicMathRun models basicmath's small numeric kernels: a few small arrays
 // recomputed in tight loops plus call-heavy stack traffic, with two arrays
 // whose 32 KiB-aligned bases collide in the baseline cache — the conflict
 // the indexing schemes remove (Figure 4 shows large XOR/odd-multiplier
 // wins).
-func BasicMath(seed uint64, n int) trace.Trace { return materialize(seed, n, basicMathRun) }
-
 func basicMathRun(g *gen) {
 	const elems = 512 // 4 KiB of doubles
 	a := uint64(DataBase)
@@ -49,12 +45,10 @@ func basicMathRun(g *gen) {
 	}
 }
 
-// BitCount models bitcount: a 256-byte lookup table and a word stream.
+// bitCountRun models bitcount: a 256-byte lookup table and a word stream.
 // Nearly every access hits a handful of sets that never conflict — the
 // canonical "uniform accesses, nothing to fix" benchmark (negligible gains
 // for every scheme in Figures 4 and 6).
-func BitCount(seed uint64, n int) trace.Trace { return materialize(seed, n, bitCountRun) }
-
 func bitCountRun(g *gen) {
 	table := uint64(TextBase + 0x1000)
 	counter := uint64(HeapBase)
@@ -68,10 +62,8 @@ func bitCountRun(g *gen) {
 	}
 }
 
-// CRC models crc32: a 1 KiB table indexed by data bytes plus a long
+// crcRun models crc32: a 1 KiB table indexed by data bytes plus a long
 // sequential buffer — uniform sweeps, few conflicts.
-func CRC(seed uint64, n int) trace.Trace { return materialize(seed, n, crcRun) }
-
 func crcRun(g *gen) {
 	table := uint64(TextBase + 0x2000)
 	crcVar := uint64(HeapBase)
@@ -84,11 +76,9 @@ func crcRun(g *gen) {
 	}
 }
 
-// Dijkstra models dijkstra's adjacency-matrix shortest path: row scans of
+// dijkstraRun models dijkstra's adjacency-matrix shortest path: row scans of
 // a 100×100 int matrix (non-power-of-two 400-byte pitch spreads rows over
 // sets) plus distance/visited arrays updated per relaxation.
-func Dijkstra(seed uint64, n int) trace.Trace { return materialize(seed, n, dijkstraRun) }
-
 func dijkstraRun(g *gen) {
 	const nodes = 100
 	matrix := uint64(DataBase)
@@ -112,7 +102,7 @@ func dijkstraRun(g *gen) {
 	}
 }
 
-// FFT models the MiBench fft kernel (fourierf.c), which keeps four
+// fftRun models the MiBench fft kernel (fourierf.c), which keeps four
 // separate power-of-two arrays — RealIn, ImagIn, RealOut, ImagOut — whose
 // back-to-back mallocs land the In and Out arrays exactly one cache span
 // (32 KiB) apart.  Under conventional indexing every butterfly's
@@ -120,8 +110,6 @@ func dijkstraRun(g *gen) {
 // almost purely conflict misses (Figure 4's biggest XOR win), while the
 // hot stack frame and sin/cos twiddle table absorb the majority of
 // accesses on a few sets — the spiky per-set histogram of Figure 1.
-func FFT(seed uint64, n int) trace.Trace { return materialize(seed, n, fftRun) }
-
 func fftRun(g *gen) {
 	const points = 512 // 4 KiB per array of 8-byte floats
 	const elem = 8
@@ -154,12 +142,10 @@ func fftRun(g *gen) {
 	}
 }
 
-// Patricia models the patricia trie benchmark: a pointer chase over heap
+// patriciaRun models the patricia trie benchmark: a pointer chase over heap
 // nodes far larger than the cache, plus key-byte reads.  Misses are
 // capacity/cold dominated and scattered, so remapping them mostly shuffles
 // pain around — Figure 4 shows indexing schemes hurting patricia.
-func Patricia(seed uint64, n int) trace.Trace { return materialize(seed, n, patriciaRun) }
-
 func patriciaRun(g *gen) {
 	const nodes = 40000 // ~2.5 MiB of 64-byte nodes
 	c := g.newChaser(HeapBase, nodes, 64)
@@ -172,12 +158,10 @@ func patriciaRun(g *gen) {
 	}
 }
 
-// QSort models qsort's recursive partitioning: linear sweeps over
+// qSortRun models qsort's recursive partitioning: linear sweeps over
 // shrinking subranges plus deep stack traffic.  Sequential sweeps touch
 // all sets evenly — another "already uniform" benchmark where remapping
 // can only do harm (Figure 4: negative for XOR/odd-multiplier).
-func QSort(seed uint64, n int) trace.Trace { return materialize(seed, n, qSortRun) }
-
 func qSortRun(g *gen) {
 	const elems = 1 << 15 // 128 KiB of 4-byte keys
 	base := uint64(DataBase)
@@ -205,13 +189,11 @@ func qSortRun(g *gen) {
 	}
 }
 
-// Rijndael models AES encryption: four 1 KiB T-tables in hot rotation
+// rijndaelRun models AES encryption: four 1 KiB T-tables in hot rotation
 // (Zipf-weighted entries) plus streaming plaintext/ciphertext.  The tables
 // occupy a fixed 4 KiB set range, concentrating hits, while the stream
 // sweeps — remapping the stream into the table sets backfires for some
 // schemes, as Figure 4's large negative rijndael entries show.
-func Rijndael(seed uint64, n int) trace.Trace { return materialize(seed, n, rijndaelRun) }
-
 func rijndaelRun(g *gen) {
 	t0 := uint64(TextBase + 0x4000)
 	for block := 0; !g.full(); block++ {
@@ -229,12 +211,10 @@ func rijndaelRun(g *gen) {
 	}
 }
 
-// SHA models sha1: 64-byte blocks expanded into an 80-word schedule that
+// shaRun models sha1: 64-byte blocks expanded into an 80-word schedule that
 // lives exactly one cache-span away from the message buffer, so schedule
 // and message fight over the same sets every block — conflicts that XOR
 // and odd-multiplier indexing dissolve almost entirely (Figure 4: ≈97%).
-func SHA(seed uint64, n int) trace.Trace { return materialize(seed, n, shaRun) }
-
 func shaRun(g *gen) {
 	msg := uint64(DataBase)
 	state := uint64(HeapBase)
@@ -252,12 +232,10 @@ func shaRun(g *gen) {
 	}
 }
 
-// Susan models the susan image-smoothing benchmark: 3-row neighbourhood
+// susanRun models the susan image-smoothing benchmark: 3-row neighbourhood
 // scans over a 384-pixel-pitch image (non-power-of-two, so rows spread
 // evenly) plus a small brightness LUT.  Accesses are spatially regular and
 // well spread — the indexing schemes neither help nor hurt much.
-func Susan(seed uint64, n int) trace.Trace { return materialize(seed, n, susanRun) }
-
 func susanRun(g *gen) {
 	const width, height = 384, 288
 	img := uint64(DataBase)

@@ -85,8 +85,7 @@ func (s Spec) StreamCtx(ctx context.Context, seed uint64, n int) trace.BatchRead
 }
 
 // StreamFunc returns a replayable stream factory keyed by seed — the
-// handle the two-pass profiling schemes (Givargis, Patel, selector)
-// consume.
+// handle the two-pass profiling schemes (Givargis, selector) consume.
 //
 //lint:allow ctxflow compatibility shim for context-free callers; cancellation-aware callers use StreamFuncCtx.
 func (s Spec) StreamFunc(seed uint64, n int) trace.StreamFunc {

@@ -5,10 +5,8 @@ import "cacheuniformity/internal/trace"
 // SPEC CPU2006-flavoured generators for the Figure-8 hybrid experiments
 // (column-associative cache with non-conventional primary indexing).
 
-// Astar models 473.astar: A* over a 2-D grid — a local random walk
+// astarRun models 473.astar: A* over a 2-D grid — a local random walk
 // touching node records plus a binary-heap open list with hot top levels.
-func Astar(seed uint64, n int) trace.Trace { return materialize(seed, n, astarRun) }
-
 func astarRun(g *gen) {
 	const dim = 512 // 512×512 grid of 8-byte node records
 	grid := uint64(DataBase)
@@ -35,10 +33,8 @@ func astarRun(g *gen) {
 	}
 }
 
-// Bzip2 models 401.bzip2: long sequential block reads, random accesses
+// bzip2Run models 401.bzip2: long sequential block reads, random accesses
 // into the block during suffix sorting, and small frequency tables.
-func Bzip2(seed uint64, n int) trace.Trace { return materialize(seed, n, bzip2Run) }
-
 func bzip2Run(g *gen) {
 	const blockSize = 1 << 19 // 512 KiB working block
 	block := uint64(DataBase)
@@ -50,11 +46,9 @@ func bzip2Run(g *gen) {
 	}
 }
 
-// Calculix models 454.calculix: FEM solver sweeps — column-major walks
+// calculixRun models 454.calculix: FEM solver sweeps — column-major walks
 // over matrices whose power-of-two leading dimension folds columns onto
 // the same sets, plus sequential right-hand-side vectors.
-func Calculix(seed uint64, n int) trace.Trace { return materialize(seed, n, calculixRun) }
-
 func calculixRun(g *gen) {
 	const rows, cols = 1024, 64 // 8-byte elements, pitch 512 B (pow2)
 	matrix := uint64(DataBase)
@@ -73,10 +67,8 @@ func calculixRun(g *gen) {
 	}
 }
 
-// Gromacs models 435.gromacs: molecular dynamics — sequential sweeps over
+// gromacsRun models 435.gromacs: molecular dynamics — sequential sweeps over
 // position/force arrays plus neighbour-list gathers.
-func Gromacs(seed uint64, n int) trace.Trace { return materialize(seed, n, gromacsRun) }
-
 func gromacsRun(g *gen) {
 	const atoms = 24000
 	pos := uint64(DataBase)
@@ -93,10 +85,8 @@ func gromacsRun(g *gen) {
 	}
 }
 
-// Hmmer models 456.hmmer: profile HMM dynamic programming — three live DP
+// hmmerRun models 456.hmmer: profile HMM dynamic programming — three live DP
 // rows scanned in lockstep plus Zipf-hot transition tables.
-func Hmmer(seed uint64, n int) trace.Trace { return materialize(seed, n, hmmerRun) }
-
 func hmmerRun(g *gen) {
 	const modelLen = 2048
 	dp := uint64(DataBase)
@@ -111,10 +101,8 @@ func hmmerRun(g *gen) {
 	}
 }
 
-// Libquantum models 462.libquantum: long streaming sweeps over a large
+// libquantumRun models 462.libquantum: long streaming sweeps over a large
 // quantum-register vector — pure sequential traffic, uniform by nature.
-func Libquantum(seed uint64, n int) trace.Trace { return materialize(seed, n, libquantumRun) }
-
 func libquantumRun(g *gen) {
 	const qubits = 1 << 18 // 2 MiB of 8-byte amplitudes
 	reg := uint64(DataBase)
@@ -123,10 +111,8 @@ func libquantumRun(g *gen) {
 	}
 }
 
-// MCF models 429.mcf: network-simplex pointer chasing over a huge arc/node
+// mcfRun models 429.mcf: network-simplex pointer chasing over a huge arc/node
 // graph — the memory-bound SPEC poster child; misses are capacity misses.
-func MCF(seed uint64, n int) trace.Trace { return materialize(seed, n, mcfRun) }
-
 func mcfRun(g *gen) {
 	const nodesN = 120000 // ~7.5 MiB of 64-byte node records
 	c := g.newChaser(HeapBase, nodesN, 64)
@@ -136,10 +122,8 @@ func mcfRun(g *gen) {
 	}
 }
 
-// Milc models 433.milc: 4-D lattice QCD — su3 matrix sweeps with several
+// milcRun models 433.milc: 4-D lattice QCD — su3 matrix sweeps with several
 // power-of-two strides (the lattice dimensions), a classic conflict mix.
-func Milc(seed uint64, n int) trace.Trace { return materialize(seed, n, milcRun) }
-
 func milcRun(g *gen) {
 	const sites = 4096 // 16^3 lattice, 72-byte su3 matrix padded to 128
 	lattice := uint64(DataBase)
@@ -154,10 +138,8 @@ func milcRun(g *gen) {
 	}
 }
 
-// Namd models 444.namd: molecular dynamics with larger per-atom records
+// namdRun models 444.namd: molecular dynamics with larger per-atom records
 // and pairwise force gathers.
-func Namd(seed uint64, n int) trace.Trace { return materialize(seed, n, namdRun) }
-
 func namdRun(g *gen) {
 	const atoms = 50000
 	rec := uint64(DataBase)
@@ -172,10 +154,8 @@ func namdRun(g *gen) {
 	}
 }
 
-// Sjeng models 458.sjeng: chess search — a giant transposition table hit
+// sjengRun models 458.sjeng: chess search — a giant transposition table hit
 // randomly, plus small hot board/history arrays.
-func Sjeng(seed uint64, n int) trace.Trace { return materialize(seed, n, sjengRun) }
-
 func sjengRun(g *gen) {
 	const ttEntries = 1 << 20 // 16 MiB transposition table
 	tt := uint64(HeapBase)

@@ -104,17 +104,14 @@ func TestStreamEarlyClose(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), base)
 }
 
-// TestMixedBatchMatchesMixedStream checks the streaming fetch/data
-// interleave against the materialized one.
-func TestMixedBatchMatchesMixedStream(t *testing.T) {
+// TestMixedBatchReplays checks that the fetch/data interleave is a pure
+// function of its arguments: two streams with the same seed are identical.
+func TestMixedBatchReplays(t *testing.T) {
 	spec := MustLookup("dijkstra")
-	want := MixedStream(spec, 9, 12_000, 3)
-	got, err := trace.CollectBatch(MixedBatch(spec, 9, 12_000, 3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d accesses, want %d", len(got), len(want))
+	want := collectMixed(t, spec, 9, 12_000, 3)
+	got := collectMixed(t, spec, 9, 12_000, 3)
+	if len(got) != 12_000 || len(got) != len(want) {
+		t.Fatalf("%d and %d accesses, want 12000", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
