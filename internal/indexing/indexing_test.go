@@ -125,8 +125,12 @@ func TestPrimeModulo(t *testing.T) {
 		}
 	}
 	checkFuncContract(t, pm, layout)
-	// A smaller prime fragments further but keeps the contract.
-	pm = PrimeModulo{L: layout, P: 509}
+}
+
+func TestPrimeModuloSmallerPrime(t *testing.T) {
+	// A smaller prime than the largest ≤ S fragments further but keeps the
+	// contract.
+	pm := PrimeModulo{L: layout, P: 509}
 	if pm.Sets() != 509 {
 		t.Errorf("Sets = %d", pm.Sets())
 	}

@@ -72,6 +72,32 @@ func TestCollectBatchLimits(t *testing.T) {
 	}
 }
 
+func TestBatchCombinatorsOnEmptySources(t *testing.T) {
+	empty := Trace{}
+	buf := make([]Access, 4)
+	cases := []struct {
+		name string
+		r    BatchReader
+	}{
+		{"roundrobin", RoundRobinBatch(empty.NewBatchReader(), empty.NewBatchReader())},
+		{"roundrobin_one", RoundRobinBatch(empty.NewBatchReader())},
+	}
+	for _, c := range cases {
+		if n, err := c.r.ReadBatch(buf); n != 0 || err != io.EOF {
+			t.Errorf("%s over empty sources: ReadBatch = (%d, %v), want (0, io.EOF)", c.name, n, err)
+		}
+	}
+	// A round-robin with one empty and one live source yields the live one.
+	tr := batchSample(5)
+	got, err := CollectBatch(RoundRobinBatch(empty.NewBatchReader(), tr.NewBatchReader()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(tr) {
+		t.Errorf("round-robin with an empty source: %d accesses, want %d", len(got), len(tr))
+	}
+}
+
 func TestTraceStreamReplays(t *testing.T) {
 	tr := batchSample(33)
 	sf := tr.Stream()

@@ -46,8 +46,4 @@ func TestRoundRobinEmpty(t *testing.T) {
 	if n, err := r.ReadBatch(make([]Access, 4)); n != 0 || err != io.EOF {
 		t.Errorf("empty RoundRobinBatch = (%d, %v), want (0, io.EOF)", n, err)
 	}
-	r = RoundRobinBatch(Trace{}.NewBatchReader(), Trace{}.NewBatchReader())
-	if n, err := r.ReadBatch(make([]Access, 4)); n != 0 || err != io.EOF {
-		t.Errorf("RoundRobinBatch over empty sources = (%d, %v), want (0, io.EOF)", n, err)
-	}
 }
