@@ -58,7 +58,7 @@ func TestSchemeRoster(t *testing.T) {
 		}
 		wantByKind[s.Kind]++
 	}
-	for _, kind := range []Kind{KindBaseline, KindIndexing, KindProgrammable, KindHybrid, KindReference} {
+	for _, kind := range []Kind{registry.FamilyBaseline, registry.FamilyIndexing, registry.FamilyProgrammable, registry.FamilyHybrid, registry.FamilyReference} {
 		if got := SchemeNames(kind); len(got) != wantByKind[kind] {
 			t.Errorf("%s schemes = %v, registry declares %d", kind, got, wantByKind[kind])
 		}

@@ -8,6 +8,7 @@ import (
 	"cacheuniformity/internal/cache"
 	"cacheuniformity/internal/hier"
 	"cacheuniformity/internal/indexing"
+	"cacheuniformity/internal/registry"
 	"cacheuniformity/internal/trace"
 )
 
@@ -28,7 +29,7 @@ func legacyRoster() []Scheme {
 	}
 
 	add(Scheme{
-		Name: "baseline", Kind: KindBaseline,
+		Name: "baseline", Kind: registry.FamilyBaseline,
 		Description: "direct-mapped, conventional modulo indexing",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			return cache.New(cache.Config{Layout: l, Ways: 1, WriteAllocate: true})
@@ -37,14 +38,14 @@ func legacyRoster() []Scheme {
 
 	// --- Section II: indexing schemes -----------------------------------
 	add(Scheme{
-		Name: "xor", Kind: KindIndexing,
+		Name: "xor", Kind: registry.FamilyIndexing,
 		Description: "index XOR low tag bits (Eq. 5)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			return cache.New(cache.Config{Layout: l, Ways: 1, Index: indexing.NewXOR(l), WriteAllocate: true})
 		},
 	})
 	add(Scheme{
-		Name: "odd_multiplier", Kind: KindIndexing,
+		Name: "odd_multiplier", Kind: registry.FamilyIndexing,
 		Description: "(21·tag + index) mod S (Eq. 4)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			om, err := indexing.NewOddMultiplier(l, 21)
@@ -55,14 +56,14 @@ func legacyRoster() []Scheme {
 		},
 	})
 	add(Scheme{
-		Name: "prime_modulo", Kind: KindIndexing,
+		Name: "prime_modulo", Kind: registry.FamilyIndexing,
 		Description: "block mod largest-prime ≤ S (Eq. 3)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			return cache.New(cache.Config{Layout: l, Ways: 1, Index: indexing.NewPrimeModulo(l), WriteAllocate: true})
 		},
 	})
 	add(Scheme{
-		Name: "givargis", Kind: KindIndexing,
+		Name: "givargis", Kind: registry.FamilyIndexing,
 		Description: "profile-driven quality/correlation bit selection",
 		Build: func(l addr.Layout, profile trace.StreamFunc) (cache.Model, error) {
 			g, err := indexing.NewGivargisStream(profile(), l, indexing.GivargisConfig{})
@@ -80,7 +81,7 @@ func legacyRoster() []Scheme {
 		},
 	})
 	add(Scheme{
-		Name: "givargis_xor", Kind: KindIndexing,
+		Name: "givargis_xor", Kind: registry.FamilyIndexing,
 		Description: "Givargis-selected tag bits XOR index (this paper's hybrid)",
 		Build: func(l addr.Layout, profile trace.StreamFunc) (cache.Model, error) {
 			g, err := indexing.NewGivargisXORStream(profile(), l, indexing.GivargisConfig{})
@@ -99,7 +100,7 @@ func legacyRoster() []Scheme {
 	})
 
 	add(Scheme{
-		Name: "polynomial", Kind: KindIndexing,
+		Name: "polynomial", Kind: registry.FamilyIndexing,
 		Description: "GF(2) polynomial-modulus hashing (extension; exact form of [12]'s family)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			p, err := indexing.NewPolynomial(l)
@@ -112,7 +113,7 @@ func legacyRoster() []Scheme {
 
 	// --- Section III: programmable associativity -------------------------
 	add(Scheme{
-		Name: "adaptive", Kind: KindProgrammable,
+		Name: "adaptive", Kind: registry.FamilyProgrammable,
 		Description: "adaptive group-associative (SHT 3/8, OUT 4/16)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			return assoc.NewAdaptiveCache(l, nil, assoc.AdaptiveConfig{})
@@ -122,14 +123,14 @@ func legacyRoster() []Scheme {
 		},
 	})
 	add(Scheme{
-		Name: "b_cache", Kind: KindProgrammable,
+		Name: "b_cache", Kind: registry.FamilyProgrammable,
 		Description: "balanced cache, MF=2 BAS=2, LRU clusters",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			return assoc.NewBCache(l, assoc.BCacheConfig{})
 		},
 	})
 	add(Scheme{
-		Name: "column_associative", Kind: KindProgrammable,
+		Name: "column_associative", Kind: registry.FamilyProgrammable,
 		Description: "column-associative (rehash bit, MSB-flip alternate)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			return assoc.NewColumnAssociative(l, nil)
@@ -150,7 +151,7 @@ func legacyRoster() []Scheme {
 	} {
 		hy := hy
 		add(Scheme{
-			Name: hy.name, Kind: KindHybrid,
+			Name: hy.name, Kind: registry.FamilyHybrid,
 			Description: "column-associative with " + hy.name[len("column_"):] + " primary index",
 			Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 				idx, err := hy.build(l)
@@ -179,7 +180,7 @@ func legacyRoster() []Scheme {
 	} {
 		hy := hy
 		add(Scheme{
-			Name: hy.name, Kind: KindHybrid,
+			Name: hy.name, Kind: registry.FamilyHybrid,
 			Description: "adaptive group-associative with " + hy.name[len("adaptive_"):] + " primary index",
 			Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 				idx, err := hy.build(l)
@@ -199,7 +200,7 @@ func legacyRoster() []Scheme {
 		ways := ways
 		name := map[int]string{2: "two_way", 4: "four_way", 8: "eight_way"}[ways]
 		add(Scheme{
-			Name: name, Kind: KindReference,
+			Name: name, Kind: registry.FamilyReference,
 			Description: fmt.Sprintf("%d-way set associative, LRU, same capacity", ways),
 			Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 				shrunk, err := addr.NewLayout(l.BlockBytes(), l.Sets()/ways, l.AddressBits)
@@ -211,7 +212,7 @@ func legacyRoster() []Scheme {
 		})
 	}
 	add(Scheme{
-		Name: "pseudo_associative", Kind: KindReference,
+		Name: "pseudo_associative", Kind: registry.FamilyReference,
 		Description: "hash-rehash pseudo-associative (§1.2)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			return assoc.NewPseudoAssociative(l, nil)
@@ -221,7 +222,7 @@ func legacyRoster() []Scheme {
 		},
 	})
 	add(Scheme{
-		Name: "partner", Kind: KindReference,
+		Name: "partner", Kind: registry.FamilyReference,
 		Description: "partner-index linked lines (Figure 3)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			return assoc.NewPartnerCache(l, nil, assoc.PartnerConfig{})
@@ -231,7 +232,7 @@ func legacyRoster() []Scheme {
 		},
 	})
 	add(Scheme{
-		Name: "victim", Kind: KindReference,
+		Name: "victim", Kind: registry.FamilyReference,
 		Description: "direct-mapped + 16-entry victim buffer [Jouppi]",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			primary, err := cache.New(cache.Config{Layout: l, Ways: 1, WriteAllocate: true})
@@ -245,7 +246,7 @@ func legacyRoster() []Scheme {
 		},
 	})
 	add(Scheme{
-		Name: "skewed", Kind: KindReference,
+		Name: "skewed", Kind: registry.FamilyReference,
 		Description: "2-way skewed associative (modulo + XOR banks), same capacity",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			bank, err := addr.NewLayout(l.BlockBytes(), l.Sets()/2, l.AddressBits)
@@ -256,14 +257,14 @@ func legacyRoster() []Scheme {
 		},
 	})
 	add(Scheme{
-		Name: "dynamic_index", Kind: KindReference,
+		Name: "dynamic_index", Kind: registry.FamilyReference,
 		Description: "runtime index selection over the paper's candidates (Figure-5 proposal, dynamic)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			return assoc.NewDynamicIndexCache(l, assoc.DefaultDynamicCandidates(l), assoc.DynamicConfig{})
 		},
 	})
 	add(Scheme{
-		Name: "fully_associative", Kind: KindReference,
+		Name: "fully_associative", Kind: registry.FamilyReference,
 		Description: "fully associative LRU, same capacity (lower envelope)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			return cache.NewFullyAssociative(l, l.Sets(), cache.LRU{})

@@ -9,6 +9,7 @@ import (
 	"cacheuniformity/internal/addr"
 	"cacheuniformity/internal/cache"
 	"cacheuniformity/internal/faultinject"
+	"cacheuniformity/internal/registry"
 	"cacheuniformity/internal/testutil"
 	"cacheuniformity/internal/trace"
 	"cacheuniformity/internal/workload"
@@ -19,7 +20,7 @@ import (
 // code.
 func panickyScheme(after int) Scheme {
 	return Scheme{
-		Name: "panicky", Kind: KindReference,
+		Name: "panicky", Kind: registry.FamilyReference,
 		Description: "baseline model that panics mid-replay (fault injection)",
 		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
 			m, err := cache.New(cache.Config{Layout: l, Ways: 1, WriteAllocate: true})

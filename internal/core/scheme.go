@@ -24,24 +24,6 @@ import (
 // vocabulary.
 type Kind = registry.Family
 
-const (
-	// KindBaseline is the conventional direct-mapped cache.
-	KindBaseline = registry.FamilyBaseline
-	// KindIndexing covers the Section-II index functions.
-	KindIndexing = registry.FamilyIndexing
-	// KindProgrammable covers the Section-III associativity schemes.
-	KindProgrammable = registry.FamilyProgrammable
-	// KindHybrid covers combinations (column-associative with
-	// non-conventional primary indexes, Figure 8).
-	KindHybrid = registry.FamilyHybrid
-	// KindReference covers context points outside the paper's two families
-	// (higher associativities, victim cache, fully associative bound).
-	KindReference = registry.FamilyReference
-	// KindDynamic covers schemes that change their placement function
-	// while a workload runs (internal/dynamic).
-	KindDynamic = registry.FamilyDynamic
-)
-
 // Scheme is a named, buildable cache organisation.
 type Scheme = registry.Scheme
 

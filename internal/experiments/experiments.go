@@ -89,23 +89,36 @@ func Figure1(ctx context.Context, cfg core.Config) (*report.Table, error) {
 	return tbl, nil
 }
 
+// rowMetric derives each scheme's value in one grid row against the
+// row's baseline cell, e.g. core.MissReductionVsBaseline.
+type rowMetric func(row map[string]core.Result, baseline string) (map[string]float64, error)
+
 // reductionTable runs a grid and tabulates a per-benchmark metric vs the
 // baseline scheme.
 func reductionTable(ctx context.Context, cfg core.Config, title string, schemes, benches []string, baseline string,
-	metric func(row map[string]core.Result) (map[string]float64, error)) (*report.Table, error) {
+	metric rowMetric) (*report.Table, error) {
 	grid, err := core.Grid(ctx, cfg, append([]string{baseline}, schemes...), benches)
 	if err != nil {
 		return nil, err
 	}
-	tbl := report.NewTable(title, "benchmark", schemes)
-	for _, b := range benches {
-		row := grid[b]
-		for name, r := range row {
-			if r.Err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", b, name, r.Err)
+	return tabulate(title, "benchmark", benches, grid, baseline, schemes, metric)
+}
+
+// tabulate lays grid rows out as a table: one row per label, in order,
+// and one column per scheme holding metric against baseline.  Each row's
+// cells are checked in (baseline, schemes...) order, so when several fail
+// the error names the same cell on every run.
+func tabulate(title, rowHeader string, labels []string, grid map[string]map[string]core.Result,
+	baseline string, schemes []string, metric rowMetric) (*report.Table, error) {
+	tbl := report.NewTable(title, rowHeader, schemes)
+	for _, label := range labels {
+		row := grid[label]
+		for _, name := range append([]string{baseline}, schemes...) {
+			if err := row[name].Err; err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", label, name, err)
 			}
 		}
-		vals, err := metric(row)
+		vals, err := metric(row, baseline)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +126,7 @@ func reductionTable(ctx context.Context, cfg core.Config, title string, schemes,
 		for i, s := range schemes {
 			cells[i] = vals[s]
 		}
-		tbl.MustAddRow(b, cells)
+		tbl.MustAddRow(label, cells)
 	}
 	tbl.AddAverageRow("Average")
 	return tbl, nil
@@ -124,9 +137,7 @@ func Figure4(ctx context.Context, cfg core.Config) (*report.Table, error) {
 	return reductionTable(ctx, cfg,
 		"Figure 4: % reduction in miss rate vs conventional indexing (MiBench)",
 		core.IndexingSchemes, workload.MiBenchOrder, "baseline",
-		func(row map[string]core.Result) (map[string]float64, error) {
-			return core.MissReductionVsBaseline(row, "baseline")
-		})
+		core.MissReductionVsBaseline)
 }
 
 // Figure6 compares the Section-III programmable-associativity schemes.
@@ -134,9 +145,7 @@ func Figure6(ctx context.Context, cfg core.Config) (*report.Table, error) {
 	return reductionTable(ctx, cfg,
 		"Figure 6: % reduction in miss rate, programmable associativity (MiBench)",
 		core.ProgrammableSchemes, workload.MiBenchOrder, "baseline",
-		func(row map[string]core.Result) (map[string]float64, error) {
-			return core.MissReductionVsBaseline(row, "baseline")
-		})
+		core.MissReductionVsBaseline)
 }
 
 // Figure7 compares AMAT (Eqs. 8-9) of the programmable schemes.
@@ -144,9 +153,7 @@ func Figure7(ctx context.Context, cfg core.Config) (*report.Table, error) {
 	return reductionTable(ctx, cfg,
 		"Figure 7: % reduction in AMAT vs direct-mapped (MiBench)",
 		core.ProgrammableSchemes, workload.MiBenchOrder, "baseline",
-		func(row map[string]core.Result) (map[string]float64, error) {
-			return core.AMATReductionVsBaseline(row, "baseline")
-		})
+		core.AMATReductionVsBaseline)
 }
 
 // Figure8 evaluates non-conventional primary indexes inside the
@@ -156,13 +163,19 @@ func Figure8(ctx context.Context, cfg core.Config) (*report.Table, error) {
 	return reductionTable(ctx, cfg,
 		"Figure 8: % reduction in miss rate vs plain column-associative (SPEC 2006)",
 		core.HybridSchemes, workload.SPECOrder, "column_associative",
-		func(row map[string]core.Result) (map[string]float64, error) {
-			return core.MissReductionVsBaseline(row, "column_associative")
-		})
+		core.MissReductionVsBaseline)
 }
 
 func kurtosis(m stats.Moments) float64 { return m.Kurtosis }
 func skewness(m stats.Moments) float64 { return m.Skewness }
+
+// missMoment is the % change in one moment of the per-set miss
+// distribution against the baseline.
+func missMoment(pick func(stats.Moments) float64) rowMetric {
+	return func(row map[string]core.Result, baseline string) (map[string]float64, error) {
+		return core.MomentChangeVsBaseline(row, baseline, pick)
+	}
+}
 
 // Figure9 tabulates the % change in kurtosis of per-set misses for the
 // indexing schemes.
@@ -170,9 +183,7 @@ func Figure9(ctx context.Context, cfg core.Config) (*report.Table, error) {
 	return reductionTable(ctx, cfg,
 		"Figure 9: % increase in kurtosis of misses, indexing schemes (MiBench)",
 		core.IndexingSchemes, workload.MiBenchOrder, "baseline",
-		func(row map[string]core.Result) (map[string]float64, error) {
-			return core.MomentChangeVsBaseline(row, "baseline", kurtosis)
-		})
+		missMoment(kurtosis))
 }
 
 // Figure10 tabulates the % change in skewness of per-set misses for the
@@ -181,9 +192,7 @@ func Figure10(ctx context.Context, cfg core.Config) (*report.Table, error) {
 	return reductionTable(ctx, cfg,
 		"Figure 10: % increase in skewness of misses, indexing schemes (MiBench)",
 		core.IndexingSchemes, workload.MiBenchOrder, "baseline",
-		func(row map[string]core.Result) (map[string]float64, error) {
-			return core.MomentChangeVsBaseline(row, "baseline", skewness)
-		})
+		missMoment(skewness))
 }
 
 // Figure11 tabulates kurtosis change for the programmable schemes.
@@ -191,9 +200,7 @@ func Figure11(ctx context.Context, cfg core.Config) (*report.Table, error) {
 	return reductionTable(ctx, cfg,
 		"Figure 11: % increase in kurtosis of misses, programmable associativity (MiBench)",
 		core.ProgrammableSchemes, workload.MiBenchOrder, "baseline",
-		func(row map[string]core.Result) (map[string]float64, error) {
-			return core.MomentChangeVsBaseline(row, "baseline", kurtosis)
-		})
+		missMoment(kurtosis))
 }
 
 // Figure12 tabulates skewness change for the programmable schemes.
@@ -201,9 +208,7 @@ func Figure12(ctx context.Context, cfg core.Config) (*report.Table, error) {
 	return reductionTable(ctx, cfg,
 		"Figure 12: % increase in skewness of misses, programmable associativity (MiBench)",
 		core.ProgrammableSchemes, workload.MiBenchOrder, "baseline",
-		func(row map[string]core.Result) (map[string]float64, error) {
-			return core.MomentChangeVsBaseline(row, "baseline", skewness)
-		})
+		missMoment(skewness))
 }
 
 // ThreadMixes13 lists Figure 13's multiprogrammed workloads.

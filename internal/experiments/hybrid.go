@@ -18,7 +18,5 @@ func AdaptiveHybrids(ctx context.Context, cfg core.Config) (*report.Table, error
 	return reductionTable(ctx, cfg,
 		"Adaptive-cache hybrids: % reduction in miss rate vs plain adaptive (SPEC 2006)",
 		core.AdaptiveHybridSchemes, workload.SPECOrder, "adaptive",
-		func(row map[string]core.Result) (map[string]float64, error) {
-			return core.MissReductionVsBaseline(row, "adaptive")
-		})
+		core.MissReductionVsBaseline)
 }

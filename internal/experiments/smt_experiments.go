@@ -2,147 +2,112 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-	"runtime"
+	"maps"
 	"sync"
 
+	"cacheuniformity/internal/addr"
 	"cacheuniformity/internal/assoc"
 	"cacheuniformity/internal/cache"
 	"cacheuniformity/internal/core"
 	"cacheuniformity/internal/hier"
 	"cacheuniformity/internal/indexing"
+	"cacheuniformity/internal/registry"
 	"cacheuniformity/internal/report"
 	"cacheuniformity/internal/smt"
-	"cacheuniformity/internal/stats"
 	"cacheuniformity/internal/trace"
 	"cacheuniformity/internal/workload"
 )
 
-// mixModels builds the two models one thread mix is compared on.
-type mixModels func(mix []string) (base, alt cache.Model, err error)
-
-// replayMixes generates each thread mix's interleaved stream once and
-// broadcasts it into the mix's two models, on min(Parallelism, mixes)
-// workers.  counters[i] holds mix i's (base, alt) counters.  On failure
-// the error returned is the one of the lowest-indexed failing mix, so it
-// does not depend on the worker count; cancellation stops the run within
-// one batch and returns the context's error.
-func replayMixes(ctx context.Context, cfg core.Config, mixes [][]string, build mixModels) (counters [][2]cache.Counters, err error) {
-	canon := cfg.Canonical()
-	counters = make([][2]cache.Counters, len(mixes))
-	errs := make([]error, len(mixes))
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(mixes))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]trace.Access, trace.DefaultBatch) // reused across this worker's mixes
-			for i := range next {
-				counters[i], errs[i] = replayMix(ctx, canon, mixes[i], build, buf)
+// mixTable replays each thread mix as one interleaved workload — thread i
+// runs mix[i] with seed Seed+i — through the (base, alt) scheme pair built
+// for the mix's thread count, and tabulates metric of alt against base in
+// mix order.  Mixes of k threads run as one grid at k·TraceLength, so
+// every thread contributes TraceLength accesses.
+func mixTable(ctx context.Context, cfg core.Config, title string, mixes [][]string,
+	pair func(threads int) (base, alt core.Scheme), metric rowMetric) (*report.Table, error) {
+	labels := make([]string, len(mixes))
+	byThreads := map[int][]workload.Spec{}
+	var counts []int // thread counts, in order of first appearance
+	for i, mix := range mixes {
+		parts := make([]workload.Spec, len(mix))
+		for j, name := range mix {
+			spec, err := workload.Lookup(name)
+			if err != nil {
+				return nil, err
 			}
-		}()
-	}
-	// As in core.GridOf: once the run is cancelled, workers may already
-	// have returned, so a send must not block.
-feed:
-	for i := range mixes {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			for j := i; j < len(mixes); j++ {
-				errs[j] = ctx.Err()
-			}
-			break feed
+			parts[j] = spec
 		}
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
+		labels[i] = MixLabel(mix)
+		spec, err := workload.NewInterleaveSpec(labels[i], parts)
 		if err != nil {
 			return nil, err
 		}
+		if _, seen := byThreads[len(mix)]; !seen {
+			counts = append(counts, len(mix))
+		}
+		byThreads[len(mix)] = append(byThreads[len(mix)], spec)
 	}
-	return counters, nil
+	// The groups' grids run concurrently, each bounded by Parallelism (so
+	// up to one Parallelism per thread count in all): in sequence, the
+	// workers would idle at the end of each group until its slowest mix
+	// finished.
+	grids := make([]map[string]map[string]core.Result, len(counts))
+	errs := make([]error, len(counts))
+	var base, alt core.Scheme
+	var wg sync.WaitGroup
+	for i, k := range counts {
+		base, alt = pair(k)
+		kcfg := cfg
+		kcfg.TraceLength = k * cfg.Canonical().TraceLength
+		schemes, benches := []core.Scheme{base, alt}, byThreads[k]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			grids[i], errs[i] = core.GridOf(ctx, kcfg, schemes, benches)
+		}()
+	}
+	wg.Wait()
+	grid := make(map[string]map[string]core.Result, len(mixes))
+	for i, rows := range grids {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		maps.Copy(grid, rows)
+	}
+	return tabulate(title, "thread_mix", labels, grid, base.Name, []string{alt.Name}, metric)
 }
 
-// replayMix builds one mix's models and replays its stream into both.
-// The stream interleaves the mix's benchmarks round-robin, one hardware
-// thread per benchmark, with per-thread seeds derived from cfg.Seed;
-// every thread contributes cfg.TraceLength accesses.
-func replayMix(ctx context.Context, cfg core.Config, mix []string, build mixModels, buf []trace.Access) ([2]cache.Counters, error) {
-	var out [2]cache.Counters
-	specs := make([]workload.Spec, len(mix))
-	for i, name := range mix {
-		spec, err := workload.Lookup(name)
-		if err != nil {
-			return out, err
-		}
-		specs[i] = spec
-	}
-	base, alt, err := build(mix)
-	if err != nil {
-		return out, err
-	}
-	rs := make([]trace.BatchReader, len(specs))
-	for i, s := range specs {
-		rs[i] = s.StreamCtx(ctx, cfg.Seed+uint64(i), cfg.TraceLength)
-	}
-	_, serrs, err := trace.Broadcast(ctx, trace.RoundRobinBatch(rs...), buf, cache.NewSink(base), cache.NewSink(alt))
-	if err != nil {
-		return out, err
-	}
-	for _, serr := range serrs {
-		if serr != nil {
-			return out, serr
-		}
-	}
-	return [2]cache.Counters{base.Counters(), alt.Counters()}, nil
+// sharedIndex is a shared direct-mapped L1 for threads threads where
+// thread i places blocks with index(l, i).
+func sharedIndex(name string, threads int, index func(l addr.Layout, thread int) (indexing.Func, error)) core.Scheme {
+	return core.Scheme{Name: name, AMAT: registry.AMATSimple,
+		Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
+			funcs := make([]indexing.Func, threads)
+			for i := range funcs {
+				f, err := index(l, i)
+				if err != nil {
+					return nil, err
+				}
+				funcs[i] = f
+			}
+			return smt.NewSharedIndexCache(l, funcs)
+		}}
 }
 
 // Figure13 compares a shared direct-mapped L1 where all threads use
 // conventional indexing against one where each thread uses a different
 // odd multiplier (9, 21, 31, 61 — the paper's recommended set).
 func Figure13(ctx context.Context, cfg core.Config) (*report.Table, error) {
-	layout := cfg.Canonical().Layout
-	counters, err := replayMixes(ctx, cfg, ThreadMixes13, func(mix []string) (cache.Model, cache.Model, error) {
-		baseFuncs := make([]indexing.Func, len(mix))
-		mixedFuncs := make([]indexing.Func, len(mix))
-		for i := range mix {
-			baseFuncs[i] = indexing.NewModulo(layout)
-			p := indexing.RecommendedMultipliers[i%len(indexing.RecommendedMultipliers)]
-			om, err := indexing.NewOddMultiplier(layout, p)
-			if err != nil {
-				return nil, nil, err
-			}
-			mixedFuncs[i] = om
-		}
-		base, err := smt.NewSharedIndexCache(layout, baseFuncs)
-		if err != nil {
-			return nil, nil, err
-		}
-		mixed, err := smt.NewSharedIndexCache(layout, mixedFuncs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return base, mixed, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tbl := report.NewTable(
+	return mixTable(ctx, cfg,
 		"Figure 13: % reduction in miss rate with per-thread odd-multiplier indexing",
-		"thread_mix", []string{"multi_index"})
-	for i, mix := range ThreadMixes13 {
-		tbl.MustAddRow(MixLabel(mix), []float64{stats.PercentReduction(counters[i][0].MissRate(), counters[i][1].MissRate())})
-	}
-	tbl.AddAverageRow("Average")
-	return tbl, nil
+		ThreadMixes13, func(threads int) (core.Scheme, core.Scheme) {
+			return sharedIndex("baseline", threads, func(l addr.Layout, _ int) (indexing.Func, error) {
+					return indexing.NewModulo(l), nil
+				}),
+				sharedIndex("multi_index", threads, func(l addr.Layout, i int) (indexing.Func, error) {
+					return indexing.NewOddMultiplier(l, indexing.RecommendedMultipliers[i%len(indexing.RecommendedMultipliers)])
+				})
+		}, core.MissReductionVsBaseline)
 }
 
 // Figure14 compares the statically partitioned shared L1 against the
@@ -150,34 +115,16 @@ func Figure13(ctx context.Context, cfg core.Config) (*report.Table, error) {
 // the % improvement in AMAT.  The partitioned baseline uses the textbook
 // AMAT; the adaptive scheme uses Eq. 8.
 func Figure14(ctx context.Context, cfg core.Config) (*report.Table, error) {
-	canon := cfg.Canonical()
-	layout := canon.Layout
-	counters, err := replayMixes(ctx, cfg, ThreadMixes14, func(mix []string) (cache.Model, cache.Model, error) {
-		threads := len(mix)
-		if layout.Sets()%threads != 0 {
-			return nil, nil, fmt.Errorf("experiments: %d threads do not divide %d sets", threads, layout.Sets())
-		}
-		part, err := smt.NewPartitionedCache(layout, threads)
-		if err != nil {
-			return nil, nil, err
-		}
-		ap, err := smt.NewAdaptivePartitioned(layout, threads, assoc.AdaptiveConfig{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return part, ap, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tbl := report.NewTable(
+	return mixTable(ctx, cfg,
 		"Figure 14: % improvement in AMAT, adaptive partitioned scheme",
-		"thread_mix", []string{"adaptive_partitioned"})
-	for i, mix := range ThreadMixes14 {
-		baseAMAT := hier.AMATSimple(counters[i][0], hier.DefaultLatencies, canon.MissPenalty)
-		adaptAMAT := hier.AMATAdaptive(counters[i][1], canon.MissPenalty)
-		tbl.MustAddRow(MixLabel(mix), []float64{stats.PercentReduction(baseAMAT, adaptAMAT)})
-	}
-	tbl.AddAverageRow("Average")
-	return tbl, nil
+		ThreadMixes14, func(threads int) (core.Scheme, core.Scheme) {
+			return core.Scheme{Name: "partitioned", AMAT: registry.AMATSimple,
+					Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
+						return smt.NewPartitionedCache(l, threads)
+					}},
+				core.Scheme{Name: "adaptive_partitioned", AMAT: hier.AMATAdaptive,
+					Build: func(l addr.Layout, _ trace.StreamFunc) (cache.Model, error) {
+						return smt.NewAdaptivePartitioned(l, threads, assoc.AdaptiveConfig{})
+					}}
+		}, core.AMATReductionVsBaseline)
 }

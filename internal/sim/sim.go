@@ -52,8 +52,8 @@ type Spec struct {
 	// FetchesPerData > 0 mixes an instruction stream into the workload at
 	// that ratio (requires L1I for split routing, else fetches go to L1D).
 	FetchesPerData int `json:"fetches_per_data,omitempty"`
-	// Threads lists per-thread benchmarks for an SMT run over a shared
-	// L1D (round-robin interleaved).
+	// Threads lists 2 to 16 per-thread benchmarks for an SMT run over a
+	// shared L1D (round-robin interleaved, thread i seeded with Seed+i).
 	Threads []string `json:"threads,omitempty"`
 	// ThreadIndexing names each thread's index function for SMT runs:
 	// "modulo", "xor", "odd_multiplier:<p>", "prime_modulo", "polynomial".
@@ -147,8 +147,22 @@ func (s Spec) Validate() error {
 	return s.validate()
 }
 
-// validate checks an already-defaulted spec; Run calls it directly after
-// its own fillDefaults so defaults are not recomputed.
+// threadMix is the SMT run's workload: the threads' benchmarks
+// interleaved round-robin by workload.NewInterleaveSpec.
+func (s Spec) threadMix() (workload.Spec, error) {
+	parts := make([]workload.Spec, len(s.Threads))
+	for i, th := range s.Threads {
+		spec, err := workload.Lookup(th)
+		if err != nil {
+			return workload.Spec{}, err
+		}
+		parts[i] = spec
+	}
+	return workload.NewInterleaveSpec(strings.Join(s.Threads, "+"), parts)
+}
+
+// validate checks an already-defaulted spec; RunContext calls it
+// directly after its own fillDefaults so defaults are not recomputed.
 func (s Spec) validate() error {
 	if (s.Workload == "") == (len(s.Threads) == 0) {
 		return fmt.Errorf("sim: exactly one of workload or threads must be set")
@@ -161,8 +175,8 @@ func (s Spec) validate() error {
 			return err
 		}
 	}
-	for _, th := range s.Threads {
-		if _, err := workload.Lookup(th); err != nil {
+	if len(s.Threads) > 0 {
+		if _, err := s.threadMix(); err != nil {
 			return err
 		}
 	}
@@ -217,16 +231,9 @@ func parseIndexFunc(l addr.Layout, name string) (indexing.Func, error) {
 	}
 }
 
-// Run executes the spec and produces a report.
-//
-//lint:allow ctxflow Run is the documented no-context convenience entry point; cancellation-aware callers use RunContext.
-func (s Spec) Run() (Report, error) {
-	return s.RunContext(context.Background())
-}
-
-// RunContext is Run bound to a context: cancellation stops the generator
-// pumps and the hierarchy replay within one batch and returns the
-// context's error.
+// RunContext executes the spec and produces a report.  Cancellation
+// stops the generator pumps and the hierarchy replay within one batch and
+// returns the context's error.
 func (s Spec) RunContext(ctx context.Context) (Report, error) {
 	s.fillDefaults()
 	if err := s.validate(); err != nil {
@@ -256,23 +263,12 @@ func (s Spec) RunContext(ctx context.Context) (Report, error) {
 		}
 		label = s.Workload
 	} else {
-		specs := make([]workload.Spec, len(s.Threads))
-		for i, th := range s.Threads {
-			spec, err := workload.Lookup(th)
-			if err != nil {
-				return Report{}, err
-			}
-			specs[i] = spec
+		mix, err := s.threadMix()
+		if err != nil {
+			return Report{}, err
 		}
-		seed, length := s.Seed, s.TraceLength
-		sf = func() trace.BatchReader {
-			rs := make([]trace.BatchReader, len(specs))
-			for i, spec := range specs {
-				rs[i] = spec.StreamCtx(ctx, seed+uint64(i), length)
-			}
-			return trace.RoundRobinBatch(rs...)
-		}
-		label = strings.Join(s.Threads, "+")
+		sf = mix.StreamFuncCtx(ctx, s.Seed, len(s.Threads)*s.TraceLength)
+		label = mix.Name
 	}
 
 	// Build the L1D model.

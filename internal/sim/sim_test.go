@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,7 @@ func TestValidateErrors(t *testing.T) {
 		"unknown workload":             {Workload: "nosuch"},
 		"unknown scheme":               {Workload: "fft", Scheme: "nosuch"},
 		"unknown thread benchmark":     {Threads: []string{"nosuch", "fft"}},
+		"one thread":                   {Threads: []string{"fft"}},
 		"indexing count mismatch":      {Threads: []string{"fft", "sha"}, ThreadIndexing: []string{"xor"}},
 		"unknown index func":           {Threads: []string{"fft", "sha"}, ThreadIndexing: []string{"xor", "nosuch"}},
 		"bad multiplier":               {Threads: []string{"fft", "sha"}, ThreadIndexing: []string{"xor", "odd_multiplier:abc"}},
@@ -51,7 +53,7 @@ func TestValidateErrors(t *testing.T) {
 
 func TestRunSingleWorkload(t *testing.T) {
 	s := Spec{Workload: "sha", Scheme: "xor", TraceLength: 30_000}
-	rep, err := s.Run()
+	rep, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestRunSingleWorkload(t *testing.T) {
 	}
 	// Baseline on the same workload must miss more.
 	base := Spec{Workload: "sha", Scheme: "baseline", TraceLength: 30_000}
-	brep, err := base.Run()
+	brep, err := base.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestRunWithL2AndSplitL1(t *testing.T) {
 		FetchesPerData: 3,
 		TraceLength:    40_000,
 	}
-	rep, err := s.Run()
+	rep, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestRunSMT(t *testing.T) {
 		ThreadIndexing: []string{"odd_multiplier:9", "odd_multiplier:21"},
 		TraceLength:    20_000,
 	}
-	rep, err := s.Run()
+	rep, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestRunSMT(t *testing.T) {
 	}
 	// All-modulo variant misses more.
 	base := Spec{Threads: []string{"fft", "sha"}, TraceLength: 20_000}
-	brep, err := base.Run()
+	brep, err := base.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestParseIndexFuncVariants(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if _, err := s.Run(); err != nil {
+	if _, err := s.RunContext(context.Background()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }

@@ -9,7 +9,7 @@
 // reference stream whose accesses carry their hardware thread id, which
 // preserves everything the studied schemes can see: which thread issues
 // which address in which order.  The models here do no interleaving
-// themselves; trace.RoundRobinBatch (and the registry's interleave
+// themselves; workload.NewInterleaveSpec (the registry's interleave
 // workload kind) builds that stream from per-thread traces.
 package smt
 

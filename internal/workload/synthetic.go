@@ -77,7 +77,8 @@ func NewZipfSpec(name string, cfg ZipfConfig) (Spec, error) {
 
 // NewInterleaveSpec builds a workload that round-robins the given parts
 // one access at a time, tagging part i's accesses with thread id i — the
-// multi-programmed SMT mixes of Figure 14, composable from declarations.
+// multi-programmed SMT mixes of Figures 13 and 14 and of internal/sim's
+// thread runs, composable from declarations.
 // Part i streams with seed+i so homogeneous mixes do not run in lockstep;
 // the total length is divided evenly with the remainder going to the
 // earliest parts.
