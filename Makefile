@@ -82,12 +82,17 @@ fuzz:
 # trace codec, the segmented compiled-trace decoder (truncated payloads,
 # corrupt segment indexes), the result-store manifest decoder, and the
 # roster/scheme declaration decoder (hostile roster files and simd
-# request bodies) — plus the stream-combinator differential.
+# request bodies) — plus the stream-combinator differential and the
+# differentials of the two hand-written codecs on the /v1/cell path
+# (per-set counts against json.Unmarshal, the store-key writer against
+# report.CanonicalJSON).
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBatchDifferential -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzStreamCodecCorruption -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzCompiledDecode -fuzztime 10s
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s
+	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzManifestCounts -fuzztime 10s
+	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzCellKeyPayload -fuzztime 10s
 	$(GO) test ./internal/registry -run '^$$' -fuzz FuzzRosterDecode -fuzztime 10s
 
 bench:
@@ -102,12 +107,14 @@ bench-grid:
 			-minmetric BenchmarkGridFanout:accesses/s=$(GRID_MIN_ACCESS_RATE)
 
 # Result-store benchmark trio (cold simulation vs warm memory vs warm
-# disk) plus the HTTP edge of a warm /v1/cell hit (BenchmarkServeCell:
-# memory, memory with per-set counts, disk; recorded, not gated),
-# summarised into BENCH_serve.json and gated on the cold/warm ratio:
-# serving a cached cell must beat recomputing it by >= 100x.
+# disk), the key layer (BenchmarkCellKey: catalog names, inline
+# declarations) and the HTTP edge of a warm /v1/cell hit
+# (BenchmarkServeCell: memory, memory with per-set counts, disk),
+# summarised into BENCH_serve.json.  The key layer and the edge are
+# recorded, not gated; the run is gated on the cold/warm ratio: serving
+# a cached cell must beat recomputing it by >= 100x.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkCell(Cold|WarmMemory|WarmDisk)$$|BenchmarkServeCell$$' -benchmem -count 3 \
+	$(GO) test -run '^$$' -bench 'BenchmarkCell(Cold|WarmMemory|WarmDisk|Key)$$|BenchmarkServeCell$$' -benchmem -count 3 \
 		./internal/resultstore ./internal/server \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json \
 			-minspeedup BenchmarkCellCold/BenchmarkCellWarmMemory=$(SERVE_MIN_SPEEDUP)

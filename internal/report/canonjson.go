@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Canonical JSON: the deterministic encoding the result store hashes and
@@ -78,7 +79,7 @@ func appendCanonical(b []byte, v any) ([]byte, error) {
 		}
 		return append(b, s...), nil
 	case json.Number:
-		return appendCanonicalNumber(b, x)
+		return appendCanonicalNumber(b, x.String())
 	case []any:
 		b = append(b, '[')
 		for i, e := range x {
@@ -120,17 +121,16 @@ func appendCanonical(b []byte, v any) ([]byte, error) {
 	}
 }
 
-// appendCanonicalNumber fixes the number format.  Integer literals (no
-// fraction, no exponent) are already canonical as produced by
-// encoding/json and pass through; anything else re-renders via the
-// shortest-round-trip float format so "1e2", "100.0" and "100" written by
-// different producers all canonicalise identically.
-func appendCanonicalNumber(b []byte, n json.Number) ([]byte, error) {
-	s := n.String()
+// appendCanonicalNumber fixes the number format of the JSON number
+// literal s.  Integer literals (no fraction, no exponent) are already
+// canonical as produced by encoding/json and pass through; anything else
+// re-renders via the shortest-round-trip float format so "1e2", "100.0"
+// and "100" written by different producers all canonicalise identically.
+func appendCanonicalNumber(b []byte, s string) ([]byte, error) {
 	if !strings.ContainsAny(s, ".eE") {
 		return append(b, s...), nil
 	}
-	f, err := n.Float64()
+	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -142,4 +142,41 @@ func appendCanonicalNumber(b []byte, n json.Number) ([]byte, error) {
 	// collide with the integer spelling of a different producer — it IS the
 	// integer spelling, which is exactly the collapse we want.
 	return out, nil
+}
+
+// AppendString appends s as CanonicalJSON renders a string: through
+// encoding/json, whose escaping ("<" becomes \u003c) is part of the
+// bytes.  encoding/json writes each byte of invalid UTF-8 as \ufffd,
+// which the canonical round trip turns into the character itself, so
+// such a string takes the codec's own path.
+func AppendString(b []byte, s string) ([]byte, error) {
+	var q []byte
+	var err error
+	if utf8.ValidString(s) {
+		q, err = json.Marshal(s)
+	} else {
+		q, err = CanonicalJSON(s)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(b, q...), nil
+}
+
+// AppendFloat appends f as CanonicalJSON renders a float64 field: the
+// literal encoding/json writes for f, put through the same number rule.
+// Callers that write canonical JSON by hand use it so their bytes cannot
+// drift from the codec's.
+func AppendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("report: canonical json: non-finite number %v", f)
+	}
+	// encoding/json writes a float64 in 'f' form when 1e-6 <= |f| < 1e21
+	// (and for zero), in exponent form otherwise.
+	format := byte('f')
+	if a := math.Abs(f); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	var lit [32]byte
+	return appendCanonicalNumber(b, string(strconv.AppendFloat(lit[:0], f, format, -1, 64)))
 }

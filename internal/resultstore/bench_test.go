@@ -6,6 +6,7 @@ import (
 
 	"cacheuniformity/internal/addr"
 	"cacheuniformity/internal/core"
+	"cacheuniformity/internal/registry"
 )
 
 // benchConfig sizes the cold simulation realistically: the store's value
@@ -93,5 +94,29 @@ func BenchmarkCellWarmDisk(b *testing.B) {
 		if origin != OriginDisk {
 			b.Fatalf("origin = %s, want disk", origin)
 		}
+	}
+}
+
+// BenchmarkCellKey measures the key layer of a request: resolving both
+// declarations and deriving the store key, for catalog names and for
+// inline declarations with parameters.
+func BenchmarkCellKey(b *testing.B) {
+	cfg := benchConfig()
+	for _, bc := range []struct {
+		name          string
+		scheme, bench registry.Decl
+	}{
+		{"catalog", registry.Decl{Name: "xor"}, registry.Decl{Name: "crc"}},
+		{"inline", registry.Decl{Kind: "victim", Params: registry.Params{"entries": 32}},
+			registry.Decl{Kind: "zipf", Params: registry.Params{"blocks": 32768, "skew": 1.2}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := CellKeyDecl(cfg, bc.scheme, bc.bench, CodeVersion); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

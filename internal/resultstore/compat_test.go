@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cacheuniformity/internal/registry"
 	"cacheuniformity/internal/testutil"
 )
 
@@ -175,5 +176,45 @@ func TestDeepScrubKeepsLegacyAndDropsCorrupt(t *testing.T) {
 	}
 	if s.Counters().CorruptManifests == 0 {
 		t.Error("torn manifest not counted corrupt")
+	}
+}
+
+// TestDeepScrubKeepsStaleVersion: a manifest written under another code
+// version is stale, not corrupt, and survives DeepScrub; a manifest
+// copied under another cell's name is removed.
+func TestDeepScrubKeepsStaleVersion(t *testing.T) {
+	defer testutil.CheckLeaks(t)
+	dir := t.TempDir()
+	old := openTemp(t, Options{Dir: dir, Version: "old"})
+	cfg := tinyConfig()
+	if _, _, err := old.Cell(context.Background(), cfg, "xor", "crc"); err != nil {
+		t.Fatal(err)
+	}
+	key, err := CellKeyDecl(cfg, registry.Decl{Name: "xor"}, registry.Decl{Name: "crc"}, "old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(old.manifestPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := synthKey(9)
+	movedPath := old.manifestPath(moved)
+	if err := os.MkdirAll(filepath.Dir(movedPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(movedPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openTemp(t, Options{Dir: dir, DeepScrub: true})
+	if fileSize(s.manifestPath(key)) < 0 {
+		t.Error("deep scrub removed a stale-version manifest")
+	}
+	if fileSize(movedPath) >= 0 {
+		t.Error("deep scrub kept a manifest under another cell's name")
+	}
+	if st := s.Stats(); st.Manifests != 1 {
+		t.Errorf("deep scrub counted %d manifests, want the stale one", st.Manifests)
 	}
 }

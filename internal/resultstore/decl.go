@@ -20,27 +20,23 @@ import (
 // scheme name, or a kind whose parameters spell out the defaults — hit
 // the same entries as the name-based paths.
 func (s *Store) CellDecl(ctx context.Context, cfg core.Config, schemeDecl, benchDecl registry.Decl) (core.Result, Origin, error) {
-	scheme, err := registry.ResolveScheme(schemeDecl)
-	if err != nil {
-		return core.Result{}, "", fmt.Errorf("scheme: %w", err)
-	}
-	spec, benchCanon, err := registry.ResolveWorkload(benchDecl)
-	if err != nil {
-		return core.Result{}, "", fmt.Errorf("benchmark: %w", err)
-	}
-	key, err := CellKeyCanonical(cfg, scheme.Decl, benchCanon, s.version)
+	r, err := Resolve(schemeDecl, benchDecl)
 	if err != nil {
 		return core.Result{}, "", err
 	}
-	c, err := s.CellResolved(ctx, cfg, scheme, spec, key)
+	key, err := CellKeyCanonical(cfg, r.SchemeJSON, r.BenchJSON, s.version)
+	if err != nil {
+		return core.Result{}, "", err
+	}
+	c, err := s.CellResolved(ctx, cfg, r.Scheme, r.Spec, key)
 	return c.Result, c.Origin, err
 }
 
 // CellResolved is CellDecl for a caller that has already resolved both
-// declarations and derived key from them with CellKeyCanonical under
-// this store's Version — the server does both once per request.  The
-// contract is CellDecl's; the Served value also carries the memory
-// entry's rendering slot.
+// declarations (Resolve) and derived key from them with
+// CellKeyCanonical under this store's Version — the server does both
+// once per request.  The contract is CellDecl's; the Served value also
+// carries the memory entry's rendering slot.
 func (s *Store) CellResolved(ctx context.Context, cfg core.Config, scheme core.Scheme, spec workload.Spec, key string) (Served, error) {
 	cfg.Memo = nil
 	if s.traces != nil {
@@ -92,31 +88,27 @@ func (s *Store) GridDecls(ctx context.Context, cfg core.Config, schemeDecls, ben
 		cfg.Traces = s
 	}
 	schemes := make([]core.Scheme, len(schemeDecls))
+	schemeJSON := make([][]byte, len(schemeDecls))
 	for i, d := range schemeDecls {
-		sc, err := registry.ResolveScheme(d)
+		sc, j, err := resolveScheme(d)
 		if err != nil {
 			return nil, fmt.Errorf("schemes[%d]: %w", i, err)
 		}
-		schemes[i] = sc
+		schemes[i], schemeJSON[i] = sc, j
 	}
 	specs := make([]workload.Spec, len(benchDecls))
-	benchCanon := make([]registry.Decl, len(benchDecls))
+	benchJSON := make([][]byte, len(benchDecls))
 	for i, d := range benchDecls {
-		spec, canon, err := registry.ResolveWorkload(d)
+		spec, _, j, err := resolveBench(d)
 		if err != nil {
 			return nil, fmt.Errorf("benchmarks[%d]: %w", i, err)
 		}
-		specs[i] = spec
-		benchCanon[i] = canon
+		specs[i], benchJSON[i] = spec, j
 	}
-	schemeCanon := make([]registry.Decl, len(schemes))
-	for i, sc := range schemes {
-		schemeCanon[i] = sc.Decl
-	}
-	if err := rejectAmbiguousNames("schemes", schemeNamesOf(schemes), schemeCanon); err != nil {
+	if err := rejectAmbiguousNames("schemes", schemeNamesOf(schemes), schemeJSON); err != nil {
 		return nil, err
 	}
-	if err := rejectAmbiguousNames("benchmarks", specNamesOf(specs), benchCanon); err != nil {
+	if err := rejectAmbiguousNames("benchmarks", specNamesOf(specs), benchJSON); err != nil {
 		return nil, err
 	}
 
@@ -149,8 +141,8 @@ func (s *Store) GridDecls(ctx context.Context, cfg core.Config, schemeDecls, ben
 			row = make(map[string]core.Result, len(schemes))
 			out[b] = row
 		}
-		for _, sc := range schemes {
-			key, err := CellKeyCanonical(cfg, sc.Decl, benchCanon[bi], s.version)
+		for si, sc := range schemes {
+			key, err := CellKeyCanonical(cfg, schemeJSON[si], benchJSON[bi], s.version)
 			if err != nil {
 				return nil, err
 			}
@@ -246,9 +238,10 @@ func (s *Store) GridDecls(ctx context.Context, cfg core.Config, schemeDecls, ben
 }
 
 // rejectAmbiguousNames errors when two declarations resolve to the same
-// name but different canonical forms.  Exact restatements are allowed —
-// they collapse onto one cell via the singleflight layer.
-func rejectAmbiguousNames(field string, names []string, canon []registry.Decl) error {
+// name but different canonical forms (given as their canonical JSON).
+// Exact restatements are allowed — they collapse onto one cell via the
+// singleflight layer.
+func rejectAmbiguousNames(field string, names []string, canon [][]byte) error {
 	seen := make(map[string]int, len(names))
 	for i, n := range names {
 		j, dup := seen[n]
@@ -256,15 +249,7 @@ func rejectAmbiguousNames(field string, names []string, canon []registry.Decl) e
 			seen[n] = i
 			continue
 		}
-		bi, err := canon[i].CanonicalJSON()
-		if err != nil {
-			return fmt.Errorf("%s[%d]: %w", field, i, err)
-		}
-		bj, err := canon[j].CanonicalJSON()
-		if err != nil {
-			return fmt.Errorf("%s[%d]: %w", field, j, err)
-		}
-		if !bytes.Equal(bi, bj) {
+		if !bytes.Equal(canon[i], canon[j]) {
 			return fmt.Errorf("%s[%d]: name %q already declared with different parameters at %s[%d]", field, i, n, field, j)
 		}
 	}

@@ -1,6 +1,8 @@
 package resultstore
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"cacheuniformity/internal/core"
@@ -62,6 +64,29 @@ func FuzzManifestDecode(f *testing.F) {
 		// names against the embedded result.
 		if res.Scheme == "" || res.Benchmark == "" {
 			t.Fatalf("accepted manifest with empty identity: %+v", res)
+		}
+	})
+}
+
+// FuzzManifestCounts holds parseCounts to json.Unmarshal into a fresh
+// []uint64: the same inputs accepted, the same values, nil for nil.
+func FuzzManifestCounts(f *testing.F) {
+	for _, seed := range []string{
+		`null`, `[]`, ` [ ] `, "\t[\n1 ,\r2\n]\n", `[1,null,2]`, `[0]`, `[18446744073709551615]`,
+		`18446744073709551616`, `[18446744073709551616]`, `[-0]`, `[1e3]`, `[1.0]`, `[01]`,
+		`[1,]`, `[,1]`, `[1 2]`, `[-]`, `[-1]`, `["1"]`, `[true]`, `[[1]]`, `{}`, `1`, `nul`, `[null`, `[1]x`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want []uint64
+		werr := json.Unmarshal(data, &want)
+		got, gerr := parseCounts(data)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("%q: json.Unmarshal error %v, parseCounts error %v", data, werr, gerr)
+		}
+		if werr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: parseCounts %v, json.Unmarshal %v", data, got, want)
 		}
 	})
 }

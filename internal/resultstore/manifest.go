@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -220,15 +222,47 @@ func writeFileAtomic(path string, data []byte) error {
 // under the key or version it was found at.
 var errManifestMismatch = errors.New("resultstore: manifest does not match its key")
 
-// decodeManifest parses manifest bytes and verifies they belong to
-// (key, version).  Any failure — truncation, corruption, a manifest
-// copied to the wrong name, a stale code version — returns an error; the
-// caller treats it as a miss, never as a fatal condition.
-func decodeManifest(data []byte, key, version string) (core.Result, error) {
-	var m manifest
+// manifestIn is manifest as decodeManifest reads it: the same fields,
+// except that the three per-set arrays are taken raw and decoded by
+// parseCounts, not element by element through reflection.  Decoding
+// into manifest would accept and reject the same documents with the
+// same values, except ones that repeat a per-set key, which
+// encodeManifest never writes: here the last value alone decides.
+type manifestIn struct {
+	manifest
+	Result struct {
+		storedResult
+		PerSet struct{ Accesses, Hits, Misses json.RawMessage } `json:"PerSet"`
+	} `json:"result"`
+}
+
+// parseManifest decodes manifest bytes.  json.Unmarshal validates the
+// whole document, per-set arrays included, before any field is set.
+func parseManifest(data []byte) (manifestIn, error) {
+	var m manifestIn
 	if err := json.Unmarshal(data, &m); err != nil {
-		return core.Result{}, fmt.Errorf("resultstore: parse manifest: %w", err)
+		return manifestIn{}, fmt.Errorf("resultstore: parse manifest: %w", err)
 	}
+	raw, ps := &m.Result.PerSet, &m.Result.Result.PerSet
+	for _, c := range [...]struct {
+		raw json.RawMessage
+		dst *[]uint64
+	}{{raw.Accesses, &ps.Accesses}, {raw.Hits, &ps.Hits}, {raw.Misses, &ps.Misses}} {
+		if c.raw == nil { // absent: the slice stays nil, as json.Unmarshal leaves it
+			continue
+		}
+		v, err := parseCounts(c.raw)
+		if err != nil {
+			return manifestIn{}, fmt.Errorf("resultstore: parse manifest: %w", err)
+		}
+		*c.dst = v
+	}
+	return m, nil
+}
+
+// verify checks that a parsed manifest belongs to (key, version) and is
+// internally consistent, returning its result.
+func (m *manifestIn) verify(key, version string) (core.Result, error) {
 	if m.Key != key || m.Version != version {
 		return core.Result{}, errManifestMismatch
 	}
@@ -242,32 +276,140 @@ func decodeManifest(data []byte, key, version string) (core.Result, error) {
 	return res, nil
 }
 
-// decodesUnderOwnVersion is the deep scrub's stale-versus-broken test:
-// a manifest that parses and is internally consistent under its own
-// embedded version is stale (kept for the LRU to retire), not corrupt.
-func decodesUnderOwnVersion(data []byte, key string) bool {
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return false
+// decodeManifest parses manifest bytes and verifies they belong to
+// (key, version).  Any failure — truncation, corruption, a manifest
+// copied to the wrong name, a stale code version — returns an error; the
+// caller treats it as a miss, never as a fatal condition.
+func decodeManifest(data []byte, key, version string) (core.Result, error) {
+	m, err := parseManifest(data)
+	if err != nil {
+		return core.Result{}, err
 	}
-	_, err := decodeManifest(data, key, m.Version)
-	return err == nil
+	return m.verify(key, version)
 }
 
-// readMaybeCompressed reads an artifact payload, inflating it when the
-// path carries the compressed extension.
-func readMaybeCompressed(path string) ([]byte, error) {
-	if !strings.HasSuffix(path, manifestExt) {
-		return os.ReadFile(path)
+// errBadCounts marks a per-set array that json.Unmarshal would not
+// decode into a []uint64.
+var errBadCounts = errors.New("per-set counts are not an array of unsigned 64-bit integers")
+
+var comma = []byte{','}
+
+// parseCounts decodes one per-set array exactly as json.Unmarshal
+// decodes it into a fresh []uint64, without reflection: null gives a nil
+// slice, [] an empty one, a null element 0; a sign, a fraction, an
+// exponent, a value above MaxUint64, any other value and malformed JSON
+// are errors (FuzzManifestCounts holds it to json.Unmarshal).
+//
+//lint:hotpath every disk hit parses ~3k integers through here
+func parseCounts(data []byte) ([]uint64, error) {
+	i := skipSpace(data, 0)
+	if isNull(data, i) {
+		if skipSpace(data, i+4) != len(data) {
+			return nil, errBadCounts
+		}
+		return nil, nil
 	}
-	f, err := os.Open(path)
-	if err != nil {
+	if i == len(data) || data[i] != '[' {
+		return nil, errBadCounts
+	}
+	// An array holds at most one element more than the input has commas.
+	out := make([]uint64, bytes.Count(data, comma)+1)
+	if i = skipSpace(data, i+1); i < len(data) && data[i] == ']' {
+		if skipSpace(data, i+1) != len(data) {
+			return nil, errBadCounts
+		}
+		return out[:0], nil
+	}
+	for n := 0; ; n++ {
+		if i == len(data) {
+			return nil, errBadCounts
+		}
+		var v uint64
+		switch c := data[i]; {
+		case c >= '1' && c <= '9':
+			for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
+				d := uint64(data[i] - '0')
+				if v > (math.MaxUint64-d)/10 {
+					return nil, errBadCounts
+				}
+				v = v*10 + d
+			}
+		case c == '0': // JSON allows no leading zero: the next byte ends the number
+			i++
+		case isNull(data, i):
+			i += 4
+		default:
+			return nil, errBadCounts
+		}
+		out[n] = v
+		if i = skipSpace(data, i); i == len(data) {
+			return nil, errBadCounts
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case ']':
+			if skipSpace(data, i+1) != len(data) {
+				return nil, errBadCounts
+			}
+			return out[:n+1], nil
+		default:
+			return nil, errBadCounts
+		}
+	}
+}
+
+// isNull reports a null literal at data[i:].
+func isNull(data []byte, i int) bool {
+	return len(data)-i >= 4 && string(data[i:i+4]) == "null"
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// inflaters pools flate decompressors, as deflaters pools compressors:
+// a decompressor carries a 32 KiB window, and Reset reuses it.
+var inflaters = sync.Pool{New: func() any { return flate.NewReader(nil) }}
+
+// inflatedPerByte sizes an inflated manifest's buffer from its
+// compressed size.  Manifests deflate 3x to 30x at BestSpeed, the more
+// the more sets and the fewer distinct counts; a buffer that fills up
+// doubles, so a 1024-set manifest regrows at most twice.
+const inflatedPerByte = 8
+
+// readMaybeCompressed reads an artifact payload, inflating it when the
+// path carries the compressed extension: the file is read whole, then
+// inflated by a pooled decompressor into a buffer sized from it.
+func readMaybeCompressed(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil || !strings.HasSuffix(path, manifestExt) {
+		return data, err
+	}
+	zr := inflaters.Get().(io.ReadCloser)
+	defer inflaters.Put(zr)
+	if err := zr.(flate.Resetter).Reset(bytes.NewReader(data), nil); err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	zr := flate.NewReader(f)
-	defer zr.Close()
-	return io.ReadAll(zr)
+	out := make([]byte, 0, len(data)*inflatedPerByte)
+	for {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, cap(out))
+		}
+		n, err := zr.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		switch {
+		case err == io.EOF:
+			return out, nil
+		case err != nil:
+			return nil, err
+		}
+	}
 }
 
 // loadManifest reads the on-disk tier: the compressed manifest first,

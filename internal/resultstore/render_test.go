@@ -15,19 +15,15 @@ func resolvedCell(t *testing.T, ctx context.Context, s *Store, seed uint64) (Ser
 	t.Helper()
 	cfg := tinyConfig()
 	cfg.Seed = seed
-	sc, err := registry.ResolveScheme(registry.Decl{Name: "xor"})
+	r, err := Resolve(registry.Decl{Name: "xor"}, registry.Decl{Name: "crc"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, bd, err := registry.ResolveWorkload(registry.Decl{Name: "crc"})
+	key, err := CellKeyCanonical(cfg, r.SchemeJSON, r.BenchJSON, s.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := CellKeyCanonical(cfg, sc.Decl, bd, s.Version())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.CellResolved(ctx, cfg, sc, spec, key)
+	c, err := s.CellResolved(ctx, cfg, r.Scheme, r.Spec, key)
 	return c, key, err
 }
 

@@ -149,10 +149,12 @@ func (s *Store) verifyArtifact(path, key string, trace bool) bool {
 	if err != nil {
 		return false
 	}
-	if _, err := decodeManifest(data, key, s.version); err != nil {
-		// Tolerate a version mismatch alone: re-decode against the
-		// manifest's own version to distinguish stale from broken.
-		return decodesUnderOwnVersion(data, key)
+	m, err := parseManifest(data)
+	if err != nil {
+		return false
 	}
-	return true
+	// Verify against the manifest's own version: a version mismatch
+	// alone is stale, not broken.
+	_, err = m.verify(key, m.Version)
+	return err == nil
 }

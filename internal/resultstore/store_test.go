@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"cacheuniformity/internal/addr"
 	"cacheuniformity/internal/core"
 	"cacheuniformity/internal/experiments"
+	"cacheuniformity/internal/registry"
 	"cacheuniformity/internal/testutil"
 	"cacheuniformity/internal/workload"
 )
@@ -497,5 +499,58 @@ func TestFigure5Memoised(t *testing.T) {
 	}
 	if first != second {
 		t.Fatalf("memoised table differs:\n%s\nvs\n%s", first, second)
+	}
+}
+
+// TestTierCounters pins the counters a scripted request sequence leaves:
+// a miss that computes, a memory hit, a disk hit after eviction, and a
+// request that waits on another's in-flight computation.  The serving
+// benchmark's store-share guard reads these counters, so a change to the
+// hit path must leave them exactly as they are.
+func TestTierCounters(t *testing.T) {
+	defer testutil.CheckLeaks(t)
+	ctx := context.Background()
+	s := openTemp(t, Options{MemoryEntries: 1, TouchInterval: -1})
+	cfg := tinyConfig()
+	cell := func(bench string, want Origin) {
+		t.Helper()
+		if _, origin, err := s.CellDecl(ctx, cfg, registry.Decl{Name: "xor"}, registry.Decl{Name: bench}); err != nil || origin != want {
+			t.Fatalf("%s: origin %s, err %v; want %s", bench, origin, err, want)
+		}
+	}
+	cell("crc", OriginComputed)
+	cell("crc", OriginMemory)
+	cell("fft", OriginComputed) // evicts crc from the one-entry memory tier
+	cell("crc", OriginDisk)
+
+	// Hold sha's flight as its leader, so the request below must wait.
+	key, err := CellKeyDecl(cfg, registry.Decl{Name: "xor"}, registry.Decl{Name: "sha"}, s.Version())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, leader := s.join(key)
+	if !leader {
+		t.Fatal("sha already in flight")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, origin, err := s.CellDecl(ctx, cfg, registry.Decl{Name: "xor"}, registry.Decl{Name: "sha"}); err != nil || origin != OriginInflight {
+			t.Errorf("waiter: origin %s, err %v; want %s", origin, err, OriginInflight)
+		}
+	}()
+	for s.Counters().InflightWaits == 0 {
+		runtime.Gosched()
+	}
+	res, err := core.RunOne(ctx, cfg, "xor", "sha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.finish(key, fl, cfg, res)
+	<-done
+
+	want := Counters{MemoryHits: 1, DiskHits: 1, Misses: 3, InflightWaits: 1, Evictions: 3, Stores: 3}
+	if got := s.Counters(); got != want {
+		t.Fatalf("counters = %+v\nwant       %+v", got, want)
 	}
 }

@@ -121,8 +121,8 @@ func (s *Server) serveForwarded(w http.ResponseWriter, r *http.Request, req *cel
 	}
 
 	fwd := cellRequest{
-		Scheme:    id.scheme.Decl,
-		Benchmark: id.benchCanon,
+		Scheme:    id.Scheme.Decl,
+		Benchmark: id.BenchDecl,
 		Config:    fwdConfig(id.cfg),
 		// Always ask for the raw per-set distributions: the peer-filled
 		// Result must equal a locally computed one, or a later
@@ -142,7 +142,7 @@ func (s *Server) serveForwarded(w http.ResponseWriter, r *http.Request, req *cel
 		return false
 	}
 
-	res, err := decodePeerCell(data, id.key, id.scheme.Name, id.spec.Name)
+	res, err := decodePeerCell(data, id.key, id.Scheme.Name, id.Spec.Name)
 	if err != nil {
 		// The peer answered 200 with a body that does not hold this cell:
 		// corruption, a version skew, a bug.  Treat the peer as failed and

@@ -19,9 +19,11 @@ import (
 // plus a newline, the form every other endpoint writes through reply,
 // but it is assembled from three parts:
 //
-//   - the envelope's small values, each through report.CanonicalJSON and
-//     json.Indent at depth 1, under keys written in cellResponseKeys
-//     order (canonical JSON sorts keys bytewise);
+//   - the envelope's small values under keys written in cellResponseKeys
+//     order (canonical JSON sorts keys bytewise): strings through the
+//     JSON encoder, whose escaping is part of the bytes; elapsed_ns
+//     through strconv; the two declarations from the canonical JSON the
+//     store key was derived from, indented at depth 1;
 //   - the result without PerSet, rendered once per memory-tier entry and
 //     kept in the entry's resultstore.Rendering slot, so a hit writes
 //     bytes instead of encoding the result again; results that no entry
@@ -75,10 +77,10 @@ func (s *Server) replyCell(w http.ResponseWriter, req *cellRequest, id *cellID, 
 	}
 	buf := replyBufs.Get().(*[]byte)
 	b, err := appendCellResponse((*buf)[:0], &cellResponse{
-		Scheme:        id.scheme.Name,
-		Benchmark:     id.spec.Name,
-		SchemeDecl:    id.scheme.Decl,
-		BenchmarkDecl: id.benchCanon,
+		Scheme:        id.Scheme.Name,
+		Benchmark:     id.Spec.Name,
+		SchemeDecl:    id.SchemeJSON,
+		BenchmarkDecl: id.BenchJSON,
 		Key:           id.key,
 		Origin:        served.Origin,
 		ElapsedNs:     elapsedNs,
@@ -103,15 +105,15 @@ func renderResult(res core.Result) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return indentedCanonical(nil, body)
-}
-
-// indentedCanonical appends v's canonical JSON indented at depth 1.
-func indentedCanonical(b []byte, v any) ([]byte, error) {
-	compact, err := report.CanonicalJSON(v)
+	compact, err := report.CanonicalJSON(body)
 	if err != nil {
 		return nil, err
 	}
+	return appendIndented(nil, compact)
+}
+
+// appendIndented appends compact JSON indented at depth 1.
+func appendIndented(b, compact []byte) ([]byte, error) {
 	buf := bytes.NewBuffer(b)
 	if err := json.Indent(buf, compact, "  ", "  "); err != nil {
 		return nil, err
@@ -122,7 +124,7 @@ func indentedCanonical(b []byte, v any) ([]byte, error) {
 // appendCellResponse appends the whole reply body: the envelope fields
 // of c in cellResponseKeys order, with result (a renderResult rendering,
 // in place of c.Result) as the "result" value and ps, when non-nil,
-// spliced into it.
+// spliced into it.  c's declarations are canonical JSON.
 func appendCellResponse(b []byte, c *cellResponse, result []byte, ps *cache.PerSet) ([]byte, error) {
 	b = append(b, '{')
 	for i, k := range cellResponseKeys {
@@ -132,31 +134,26 @@ func appendCellResponse(b []byte, c *cellResponse, result []byte, ps *cache.PerS
 		b = append(b, "\n  \""...)
 		b = append(b, k...)
 		b = append(b, "\": "...)
-		var v any
+		var err error
 		switch k {
 		case "benchmark":
-			v = c.Benchmark
+			b, err = report.AppendString(b, c.Benchmark)
 		case "benchmark_decl":
-			v = c.BenchmarkDecl
+			b, err = appendIndented(b, c.BenchmarkDecl)
 		case "elapsed_ns":
-			v = c.ElapsedNs
+			b = strconv.AppendInt(b, c.ElapsedNs, 10)
 		case "key":
-			v = c.Key
+			b, err = report.AppendString(b, c.Key)
 		case "origin":
-			v = c.Origin
+			b, err = report.AppendString(b, string(c.Origin))
 		case "result":
-			var err error
-			if b, err = appendResult(b, result, ps); err != nil {
-				return nil, err
-			}
-			continue
+			b, err = appendResult(b, result, ps)
 		case "scheme":
-			v = c.Scheme
+			b, err = report.AppendString(b, c.Scheme)
 		case "scheme_decl":
-			v = c.SchemeDecl
+			b, err = appendIndented(b, c.SchemeDecl)
 		}
-		var err error
-		if b, err = indentedCanonical(b, v); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}

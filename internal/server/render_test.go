@@ -2,13 +2,18 @@ package server
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"io/fs"
 	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -80,12 +85,22 @@ func oracleCell(t testing.TB, srv *Server, golden *resultstore.Store, c cellCase
 	return oracleBody(t, cellResponse{
 		Scheme:        sc.Name,
 		Benchmark:     spec.Name,
-		SchemeDecl:    sc.Decl,
-		BenchmarkDecl: benchCanon,
+		SchemeDecl:    canonicalJSON(t, sc.Decl),
+		BenchmarkDecl: canonicalJSON(t, benchCanon),
 		Key:           key,
 		Origin:        origin,
 		ElapsedNs:     elapsedNs,
 	}, res, c.perSet)
+}
+
+// canonicalJSON is report.CanonicalJSON, failing the test on error.
+func canonicalJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := report.CanonicalJSON(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // oracleBody is the reference encoding of one reply.
@@ -160,12 +175,18 @@ func serveStore(t testing.TB, store *resultstore.Store, maxConcurrent int) (*Ser
 }
 
 // renderCases are the declarations the differential tests cover: a
-// catalog pair, and an inline scheme and benchmark with parameters.
+// catalog pair, an inline scheme and benchmark with parameters, and
+// inline declarations whose names and parameters take the encoder's
+// escaping and the canonical number forms.
 var renderCases = []cellCase{
 	{scheme: registry.Decl{Name: "xor"}, bench: registry.Decl{Name: "crc"}},
 	{
 		scheme: registry.Decl{Kind: "odd_multiplier", Params: registry.Params{"multiplier": 13}},
 		bench:  registry.Decl{Kind: "zipf", Params: registry.Params{"blocks": 128, "skew": 1.5}},
+	},
+	{
+		scheme: registry.Decl{Name: "v<ictim>&", Kind: "victim", Params: registry.Params{"entries": 8}},
+		bench:  registry.Decl{Name: "z\u2028", Kind: "zipf", Params: registry.Params{"blocks": 1e3, "skew": 0.5, "write_frac": 1e-7}},
 	},
 }
 
@@ -185,9 +206,10 @@ func TestCellResponseKeysSorted(t *testing.T) {
 	}
 }
 
-// TestCellReplyMatchesOracle: computed, memory and disk replies, with
-// and without per-set counts, at 2, 64 and 1024 sets, for a catalog and
-// an inline-declared cell, are byte-identical to the oracle.
+// TestCellReplyMatchesOracle: computed and memory replies, disk hits
+// followed by memory hits on the promoted entries, and hits on legacy
+// uncompressed manifests, with and without per-set counts, at 2, 64 and
+// 1024 sets, for each of renderCases, are byte-identical to the oracle.
 func TestCellReplyMatchesOracle(t *testing.T) {
 	golden := openTestStore(t, resultstore.Options{})
 	for _, sets := range []int{2, 64, 1024} {
@@ -212,19 +234,54 @@ func TestCellReplyMatchesOracle(t *testing.T) {
 				}
 				// A fresh store over the same directory: disk hits that
 				// promote into memory, then memory hits on the promoted
-				// entries.
-				srv2, url2 := serveStore(t, openTestStore(t, resultstore.Options{Dir: dir}), 0)
-				for seed, perSet := range []bool{false, true} {
-					c := base.withSeed(uint64(seed + 1)).withPerSet(perSet)
-					for i, w := range []resultstore.Origin{resultstore.OriginDisk, resultstore.OriginMemory} {
-						status, body := postJSON(t, url2+"/v1/cell", c.body(t))
-						if got := checkReply(t, srv2, golden, c, status, body); got != w {
-							t.Fatalf("reopened request %d origin = %s, want %s", i, got, w)
+				// entries.  Then again over the manifests rewritten in the
+				// legacy uncompressed form.
+				for _, legacy := range []bool{false, true} {
+					if legacy {
+						legacyManifests(t, dir)
+					}
+					srv2, url2 := serveStore(t, openTestStore(t, resultstore.Options{Dir: dir}), 0)
+					for seed, perSet := range []bool{false, true} {
+						c := base.withSeed(uint64(seed + 1)).withPerSet(perSet)
+						for i, w := range []resultstore.Origin{resultstore.OriginDisk, resultstore.OriginMemory} {
+							status, body := postJSON(t, url2+"/v1/cell", c.body(t))
+							if got := checkReply(t, srv2, golden, c, status, body); got != w {
+								t.Fatalf("reopened (legacy %v) request %d origin = %s, want %s", legacy, i, got, w)
+							}
 						}
+					}
+					if m := srv2.cfg.Store.Counters().Migrations; legacy != (m > 0) {
+						t.Fatalf("reopened (legacy %v): %d legacy manifests migrated", legacy, m)
 					}
 				}
 			})
 		}
+	}
+}
+
+// legacyManifests rewrites every compressed manifest under dir as the
+// uncompressed file a store from before compression wrote.
+func legacyManifests(t *testing.T, dir string) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".json.z") {
+			return err
+		}
+		zdata, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		data, err := io.ReadAll(flate.NewReader(bytes.NewReader(zdata)))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(strings.TrimSuffix(path, ".z"), data, 0o644); err != nil {
+			return err
+		}
+		return os.Remove(path)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -342,7 +399,11 @@ func TestAppendPerSetMatchesOracle(t *testing.T) {
 		assertSameBytes(t, fmt.Sprintf("case %d per-set", i), appendPerSet(nil, &ps), want.Bytes())
 
 		res := core.Result{Benchmark: "crc", Scheme: "xor", MissRate: 0.25, AMAT: 5.75, PerSet: ps}
-		resp := cellResponse{Scheme: "xor", Benchmark: "crc", Key: "k", Origin: resultstore.OriginMemory, ElapsedNs: 7}
+		resp := cellResponse{
+			Scheme: "xor", Benchmark: "crc", Key: "k", Origin: resultstore.OriginMemory, ElapsedNs: 7,
+			SchemeDecl:    canonicalJSON(t, registry.Decl{Name: "xor", Kind: "xor"}),
+			BenchmarkDecl: canonicalJSON(t, registry.KernelDecl("crc")),
+		}
 		result, err := renderResult(res)
 		if err != nil {
 			t.Fatal(err)

@@ -236,9 +236,10 @@ type cellResponse struct {
 	Scheme    string `json:"scheme"`
 	Benchmark string `json:"benchmark"`
 	// SchemeDecl and BenchmarkDecl echo the canonical declarations the
-	// cell was keyed by (defaults filled, parameters normalised).
-	SchemeDecl    registry.Decl      `json:"scheme_decl"`
-	BenchmarkDecl registry.Decl      `json:"benchmark_decl"`
+	// cell was keyed by (defaults filled, parameters normalised), as the
+	// canonical JSON the key hashed.
+	SchemeDecl    json.RawMessage    `json:"scheme_decl"`
+	BenchmarkDecl json.RawMessage    `json:"benchmark_decl"`
 	Key           string             `json:"key"`
 	Origin        resultstore.Origin `json:"origin"`
 	ElapsedNs     int64              `json:"elapsed_ns"`
@@ -260,14 +261,9 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, errors.New("server: scheme and benchmark are required"))
 		return
 	}
-	scheme, err := registry.ResolveScheme(req.Scheme)
+	decls, err := resultstore.Resolve(req.Scheme, req.Benchmark)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: scheme: %w", err))
-		return
-	}
-	spec, benchCanon, err := registry.ResolveWorkload(req.Benchmark)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: benchmark: %w", err))
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: %w", err))
 		return
 	}
 	cfg, err := s.simConfig(req.Config)
@@ -275,12 +271,12 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	key, err := resultstore.CellKeyCanonical(cfg, scheme.Decl, benchCanon, s.cfg.Store.Version())
+	key, err := resultstore.CellKeyCanonical(cfg, decls.SchemeJSON, decls.BenchJSON, s.cfg.Store.Version())
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	id := cellID{cfg: cfg, scheme: scheme, spec: spec, benchCanon: benchCanon, key: key}
+	id := cellID{cfg: cfg, Resolved: decls, key: key}
 
 	forwarded := r.Header.Get(cluster.ForwardHeader) != ""
 	if forwarded && s.draining.Load() {
@@ -309,7 +305,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	started := now()
-	served, err := s.cfg.Store.CellResolved(ctx, cfg, scheme, spec, key)
+	served, err := s.cfg.Store.CellResolved(ctx, cfg, id.Scheme, id.Spec, key)
 	if err != nil {
 		s.fail(w, statusFor(ctx.Err(), err), err)
 		return
@@ -318,14 +314,12 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 }
 
 // cellID is a /v1/cell request's identity, resolved once: the
-// effective config, both declarations resolved through the registry,
-// and the store key derived from them.
+// effective config, both declarations resolved through the registry
+// with their canonical JSON, and the store key derived from them.
 type cellID struct {
-	cfg        core.Config
-	scheme     core.Scheme
-	spec       workload.Spec
-	benchCanon registry.Decl
-	key        string
+	cfg core.Config
+	resultstore.Resolved
+	key string
 }
 
 // gridRequest's scheme and benchmark lists are declarations, same
