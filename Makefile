@@ -108,13 +108,14 @@ bench-grid:
 
 # Result-store benchmark trio (cold simulation vs warm memory vs warm
 # disk), the key layer (BenchmarkCellKey: catalog names, inline
-# declarations) and the HTTP edge of a warm /v1/cell hit
+# declarations), the disk tier's decode (BenchmarkDecodeManifest: one
+# 1024-set manifest) and the HTTP edge of a warm /v1/cell hit
 # (BenchmarkServeCell: memory, memory with per-set counts, disk),
-# summarised into BENCH_serve.json.  The key layer and the edge are
-# recorded, not gated; the run is gated on the cold/warm ratio: serving
+# summarised into BENCH_serve.json.  The key layer, the decode and the
+# edge are recorded, not gated; the run is gated on the cold/warm ratio: serving
 # a cached cell must beat recomputing it by >= 100x.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkCell(Cold|WarmMemory|WarmDisk|Key)$$|BenchmarkServeCell$$' -benchmem -count 3 \
+	$(GO) test -run '^$$' -bench 'BenchmarkCell(Cold|WarmMemory|WarmDisk|Key)$$|BenchmarkDecodeManifest$$|BenchmarkServeCell$$' -benchmem -count 3 \
 		./internal/resultstore ./internal/server \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json \
 			-minspeedup BenchmarkCellCold/BenchmarkCellWarmMemory=$(SERVE_MIN_SPEEDUP)

@@ -120,3 +120,31 @@ func BenchmarkCellKey(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDecodeManifest measures the disk tier's decode alone: one
+// 1024-set manifest, as encodeManifest writes it for a computed cell,
+// parsed and verified into a result and its reply rendering.  The read
+// and the inflate are not timed (BenchmarkCellWarmDisk has them).
+func BenchmarkDecodeManifest(b *testing.B) {
+	cfg := core.Default()
+	cfg.TraceLength = 20_000
+	res, err := core.RunOne(context.Background(), cfg, "xor", "crc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, err := cellKey(cfg, "xor", "crc", CodeVersion)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := encodeManifest(key, CodeVersion, cfg, res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, rendering, err := decodeManifest(data, key, CodeVersion); err != nil || rendering == nil {
+			b.Fatalf("decode: rendering %d bytes, err %v", len(rendering), err)
+		}
+	}
+}

@@ -26,7 +26,9 @@ const (
 // Served is one cell as the store served it: the result, the tier or
 // path that supplied it, and the rendering slot of the memory-tier entry
 // that holds it.  Rendering is nil when no entry holds the result — a
-// failed result (never cached) or a store without a memory tier.
+// failed result (never cached) or a store without a memory tier — except
+// on a disk hit whose manifest carried a rendering, which comes in a
+// slot of its own.
 type Served struct {
 	Result    core.Result
 	Origin    Origin

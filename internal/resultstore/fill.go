@@ -16,17 +16,24 @@ func (s *Store) Peek(key string) (core.Result, Origin, bool) {
 	return c.Result, c.Origin, ok
 }
 
-// PeekCell is Peek that also returns the hit entry's rendering slot (a
-// disk hit's is the slot of the memory entry it was promoted to).
+// PeekCell is Peek that also returns the hit entry's rendering slot.  A
+// disk hit's is the slot of the memory entry it was promoted to, holding
+// the manifest's rendering when it has one; without a memory tier that
+// rendering comes in a slot of its own, for this hit alone.
 func (s *Store) PeekCell(key string) (Served, bool) {
 	if e, ok := s.memGet(key); ok {
 		s.memHits.Add(1)
 		return Served{Result: e.res, Origin: OriginMemory, Rendering: &e.render}, true
 	}
 	if s.dir != "" {
-		if res, ok := s.loadManifest(key); ok {
+		if res, rendering, ok := s.loadManifest(key); ok {
 			s.diskHits.Add(1)
-			return Served{Result: res, Origin: OriginDisk, Rendering: s.memAdd(key, res)}, true
+			slot := s.memAdd(key, res, rendering)
+			if slot == nil && rendering != nil {
+				slot = new(Rendering)
+				slot.Store(rendering)
+			}
+			return Served{Result: res, Origin: OriginDisk, Rendering: slot}, true
 		}
 	}
 	return Served{}, false
@@ -47,7 +54,7 @@ func (s *Store) Fill(key string, cfg core.Config, res core.Result) error {
 		return errors.New("resultstore: refusing to fill a result without scheme and benchmark names")
 	}
 	s.peerFills.Add(1)
-	s.memAdd(key, res)
+	s.memAdd(key, res, nil)
 	s.stores.Add(1)
 	if s.dir != "" {
 		if err := s.persist(key, cfg, res); err != nil {

@@ -46,7 +46,7 @@ func (s *Store) finish(key string, fl *flight, cfg core.Config, res core.Result)
 	// the gap hits the LRU instead of missing both the flight and the
 	// tiers and recomputing the cell.
 	if res.Err == nil {
-		fl.render = s.memAdd(key, res)
+		fl.render = s.memAdd(key, res, nil)
 	}
 	s.retire(key)
 

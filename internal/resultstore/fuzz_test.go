@@ -1,10 +1,13 @@
 package resultstore
 
 import (
+	"bytes"
 	"encoding/json"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
+	"cacheuniformity/internal/cache"
 	"cacheuniformity/internal/core"
 	"cacheuniformity/internal/report"
 )
@@ -37,11 +40,32 @@ func fuzzSeedManifest(tb testing.TB) (string, []byte) {
 	return key, data
 }
 
-// FuzzManifestDecode asserts the crash-tolerance contract of the on-disk
-// tier: decodeManifest must never panic, and anything it accepts must
-// actually belong to the key and version it was found under.  This is
-// the store's equivalent of PR 3's corruption fuzzers — the input is a
-// file on disk, so any byte sequence is possible.
+// canonicalSeedManifest is a manifest as encodeManifest writes it for a
+// 1024-set result under (key, fuzzVersion), with the given names.
+func canonicalSeedManifest(tb testing.TB, key, scheme, bench string) []byte {
+	tb.Helper()
+	cfg := core.Default().Canonical()
+	ps := cache.NewPerSet(1024)
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := range ps.Accesses {
+		ps.Hits[i], ps.Misses[i] = rng.Uint64N(500), rng.Uint64N(50)
+		ps.Accesses[i] = ps.Hits[i] + ps.Misses[i]
+	}
+	data, err := encodeManifest(key, fuzzVersion, cfg, core.Result{
+		Benchmark: bench, Scheme: scheme, MissRate: 0.0345, AMAT: 1.69, PerSet: ps,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// FuzzManifestDecode holds the on-disk tier's decoder to the reference,
+// json.Unmarshal into a manifest: both accept and reject the same bytes,
+// and give deeply equal manifests.  Anything decodeManifest accepts must
+// also belong to the key and version it was found under.  The input is a
+// file on disk, so any byte sequence is possible; the seeds after the
+// 1024-set manifest probe the one-pass reader's layout match.
 func FuzzManifestDecode(f *testing.F) {
 	key, valid := fuzzSeedManifest(f)
 	f.Add(valid)
@@ -54,8 +78,75 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add([]byte(`{"key":"0000","version":"fuzz","scheme":"xor","benchmark":"crc","result":{}}`))
 	f.Add([]byte("\x00\xff garbage"))
 
+	canonical := canonicalSeedManifest(f, key, "xor", "crc")
+	f.Add(canonical)
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, canonical); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compact.Bytes())
+	// The per-set separators inside an escaped name.
+	name := string(perSetSeps[0]) + "[]" + string(perSetSeps[1]) + "[]" + string(perSetSeps[2]) + "[]" + string(perSetSeps[3])
+	f.Add(canonicalSeedManifest(f, key, name, "crc"))
+	edit := func(old, new string) {
+		if !bytes.Contains(canonical, []byte(old)) {
+			f.Fatalf("seed manifest lacks %q", old)
+		}
+		f.Add(bytes.Replace(canonical, []byte(old), []byte(new), 1))
+	}
+	// A second PerSet key before and after the first; null elements keep
+	// what the earlier one decoded.
+	edit(`"result": {`, `"result": {"PerSet": {"Accesses": [5, 6], "Hits": [7]},`)
+	f.Add(bytes.Replace(bytes.Replace(canonical, []byte(`"result": {`), []byte(`"result": {"PerSet": {"Accesses": [5]},`), 1),
+		[]byte("\"Accesses\": [\n        "), []byte("\"Accesses\": [\n        null,\n        "), 1))
+	edit("\n    \"Scheme\": \"xor\"", "\n    \"perset\": {\"Hits\": [1]},\n    \"Scheme\": \"xor\"")
+	// A PerSet object in the canonical layout under config, ahead of
+	// result's.
+	edit(`"config": {`, `"config": {`+perSetKey+`{
+      "Accesses": [
+        1
+      ],
+      "Hits": [],
+      "Misses": null
+    },`)
+	// The sentinel as result's PerSet, behind a PerSet object under
+	// config.
+	f.Add([]byte(`{
+  "benchmark": "crc",
+  "config": {` + perSetKey + `{
+      "Accesses": [],
+      "Hits": [],
+      "Misses": []
+    },
+    "seed": 1
+  },
+  "key": "` + key + `",
+  "result": {
+    "Benchmark": "crc",
+    "PerSet": ` + string(perSetSentinel) + `,
+    "Scheme": "xor"
+  },
+  "scheme": "xor",
+  "version": "fuzz"
+}`))
+	// An unknown key in place of a per-set array's.
+	edit(`"Hits": [`, `"Hitz": [`)
+	// A bad element inside an array.
+	for _, bad := range []string{"-1", "1.5", "null", "01"} {
+		edit("\"Accesses\": [\n        ", "\"Accesses\": [\n        "+bad+",\n        ")
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := decodeManifest(data, key, fuzzVersion)
+		got, _, gerr := parseManifest(data)
+		var want manifest
+		werr := json.Unmarshal(data, &want)
+		if (gerr != nil) != (werr != nil) {
+			t.Fatalf("parseManifest error %v, json.Unmarshal error %v", gerr, werr)
+		}
+		if werr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("parseManifest %+v\njson.Unmarshal %+v", got, want)
+		}
+		res, _, err := decodeManifest(data, key, fuzzVersion)
 		if err != nil {
 			return // rejected bytes are a miss; nothing more to hold
 		}

@@ -28,12 +28,17 @@ type lruEntry struct {
 	render Rendering
 }
 
-// Rendering is an opaque byte slot on one memory-tier entry.  A caller
-// that encodes the entry's result (the server's reply rendering) keeps
-// the bytes here, and later hits on the same entry reuse them.  The
-// store never reads the bytes: it only drops them with their entry (LRU
-// eviction, DeleteCell, a refresh by a later insert of the same key).
-// A nil *Rendering, returned when no memory-tier entry holds the
+// Rendering is the byte slot of one memory-tier entry holding the reply
+// rendering of its result: the canonical JSON of the result without
+// PerSet (report.CanonicalJSON), indented by json.Indent with prefix and
+// indent "  ", as it sits under "result" in a /v1/cell reply.  In that
+// form it is byte for byte the result's value in the entry's manifest
+// with the PerSet member cut out, so two writers fill the slot: a disk
+// hit with the bytes of the manifest it read (parseCanonical), and the
+// server on the first hit of an entry that has none (its renderResult).
+// Later hits on the entry reuse the bytes.  The store drops them with
+// their entry (LRU eviction, DeleteCell, a refresh by a later insert of
+// the same key).  A nil *Rendering, returned when no slot holds the
 // result, loads nothing and discards what is stored.
 type Rendering struct{ b atomic.Pointer[[]byte] }
 
@@ -75,10 +80,14 @@ func (l *memLRU) get(key string) (*lruEntry, bool) {
 	return el.Value.(*lruEntry), true
 }
 
-// add inserts (or replaces) the entry, returns it, and reports how many
-// entries were evicted to make room (0 or 1).
-func (l *memLRU) add(key string, res core.Result) (*lruEntry, int) {
+// add inserts (or replaces) the entry, with rendering in its slot when
+// that is non-nil, returns it, and reports how many entries were evicted
+// to make room (0 or 1).
+func (l *memLRU) add(key string, res core.Result, rendering []byte) (*lruEntry, int) {
 	e := &lruEntry{key: key, res: res}
+	if rendering != nil {
+		e.render.Store(rendering)
+	}
 	if el, ok := l.items[key]; ok {
 		el.Value = e
 		l.order.MoveToFront(el)

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cacheuniformity/internal/cache"
 	"cacheuniformity/internal/core"
 	"cacheuniformity/internal/report"
 )
@@ -222,47 +223,135 @@ func writeFileAtomic(path string, data []byte) error {
 // under the key or version it was found at.
 var errManifestMismatch = errors.New("resultstore: manifest does not match its key")
 
-// manifestIn is manifest as decodeManifest reads it: the same fields,
-// except that the three per-set arrays are taken raw and decoded by
-// parseCounts, not element by element through reflection.  Decoding
-// into manifest would accept and reject the same documents with the
-// same values, except ones that repeat a per-set key, which
-// encodeManifest never writes: here the last value alone decides.
-type manifestIn struct {
+// parseManifest decodes manifest bytes as json.Unmarshal into a manifest
+// does (FuzzManifestDecode holds it to that).  A document in the layout
+// encodeManifest writes is read in one pass by parseCanonical, which
+// also returns the result's reply rendering; any other document — a
+// hand-edited file, another writer's layout — goes through
+// json.Unmarshal and has no rendering.
+func parseManifest(data []byte) (manifest, []byte, error) {
+	if m, rendering, ok := parseCanonical(data); ok {
+		return m, rendering, nil
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return manifest{}, nil, fmt.Errorf("resultstore: parse manifest: %w", err)
+	}
+	return m, nil, nil
+}
+
+// The layout encodeManifest writes around the per-set arrays: result's
+// members sit at depth 2, PerSet's at depth 3, and PerSet is followed by
+// the result's last member, Scheme.  The match starts at the raw newline
+// before PerSet's key; a JSON string holds no raw newline, so the match
+// cannot start inside a string.
+const perSetKey = "\n    \"PerSet\": "
+
+var perSetSeps = [...][]byte{
+	[]byte(perSetKey + "{\n      \"Accesses\": "),
+	[]byte(",\n      \"Hits\": "),
+	[]byte(",\n      \"Misses\": "),
+	[]byte("\n    },"),
+}
+
+// resultOpen and resultClose bracket the top-level result value.
+var (
+	resultOpen  = []byte("\n  \"result\": ")
+	resultClose = []byte("\n  }")
+)
+
+// perSetSentinel stands in for the per-set object in the rest of the
+// document that parseCanonical hands to json.Unmarshal.
+var perSetSentinel = []byte(`"\u0000"`)
+
+// manifestHead is manifest as parseCanonical decodes the rest of the
+// document: the same fields, except that result.PerSet only records
+// what was decoded into it.
+type manifestHead struct {
 	manifest
 	Result struct {
 		storedResult
-		PerSet struct{ Accesses, Hits, Misses json.RawMessage } `json:"PerSet"`
+		PerSet perSetMark `json:"PerSet"`
 	} `json:"result"`
 }
 
-// parseManifest decodes manifest bytes.  json.Unmarshal validates the
-// whole document, per-set arrays included, before any field is set.
-func parseManifest(data []byte) (manifestIn, error) {
-	var m manifestIn
-	if err := json.Unmarshal(data, &m); err != nil {
-		return manifestIn{}, fmt.Errorf("resultstore: parse manifest: %w", err)
+// perSetMark counts the values json.Unmarshal decodes into result.PerSet
+// (case-insensitive key matches and null included) and whether the last
+// one was perSetSentinel.
+type perSetMark struct {
+	n        int
+	sentinel bool
+}
+
+func (p *perSetMark) UnmarshalJSON(b []byte) error {
+	p.n++
+	p.sentinel = bytes.Equal(b, perSetSentinel)
+	return nil
+}
+
+// parseCanonical reads a manifest in encodeManifest's layout in one pass:
+// the per-set object is located by perSetSeps and its three arrays are
+// parsed by parseCounts; json.Unmarshal decodes only the rest of the
+// document (~2 KB at 1024 sets), with the object replaced by
+// perSetSentinel.  The sentinel, found once in that rest and decoded as
+// the only value of result.PerSet, proves the object is result's PerSet
+// and that no other PerSet key, earlier or later, merges into or
+// overrides it, so the decode equals json.Unmarshal's of the whole
+// document.  ok is false for any other document; parseManifest then
+// decides.
+//
+// rendering is result's value with its PerSet member cut out, copied
+// out of data: in encodeManifest's layout that is byte for byte the
+// reply rendering of the result (see Rendering).
+func parseCanonical(data []byte) (m manifest, rendering []byte, ok bool) {
+	at := bytes.Index(data, perSetSeps[0])
+	if at < 0 {
+		return manifest{}, nil, false
 	}
-	raw, ps := &m.Result.PerSet, &m.Result.Result.PerSet
-	for _, c := range [...]struct {
-		raw json.RawMessage
-		dst *[]uint64
-	}{{raw.Accesses, &ps.Accesses}, {raw.Hits, &ps.Hits}, {raw.Misses, &ps.Misses}} {
-		if c.raw == nil { // absent: the slice stays nil, as json.Unmarshal leaves it
-			continue
+	var counts [3][]uint64
+	i := at + len(perSetSeps[0])
+	for k := range counts {
+		end := i + 4 // a null array
+		if !isNull(data, i) {
+			if end = bytes.IndexByte(data[i:], ']'); end < 0 {
+				return manifest{}, nil, false
+			}
+			end += i + 1
 		}
-		v, err := parseCounts(c.raw)
-		if err != nil {
-			return manifestIn{}, fmt.Errorf("resultstore: parse manifest: %w", err)
+		v, err := parseCounts(data[i:end])
+		if err != nil || !bytes.HasPrefix(data[end:], perSetSeps[k+1]) {
+			return manifest{}, nil, false
 		}
-		*c.dst = v
+		counts[k], i = v, end+len(perSetSeps[k+1])
 	}
-	return m, nil
+	// The object runs from its brace to just before the closing
+	// separator's comma.
+	objStart, objEnd := at+len(perSetKey), i-1
+	head := make([]byte, 0, objStart+len(perSetSentinel)+len(data)-objEnd)
+	head = append(append(append(head, data[:objStart]...), perSetSentinel...), data[objEnd:]...)
+	if bytes.Count(head, perSetSentinel) != 1 {
+		return manifest{}, nil, false
+	}
+	var h manifestHead
+	if err := json.Unmarshal(head, &h); err != nil || h.Result.PerSet.n != 1 || !h.Result.PerSet.sentinel {
+		return manifest{}, nil, false
+	}
+	m = h.manifest
+	m.Result = h.Result.storedResult
+	m.Result.PerSet = cache.PerSet{Accesses: counts[0], Hits: counts[1], Misses: counts[2]}
+
+	if rs, re := bytes.LastIndex(data[:at], resultOpen), bytes.Index(data[i:], resultClose); rs >= 0 && re >= 0 {
+		rs += len(resultOpen)
+		re += i + len(resultClose)
+		rendering = make([]byte, 0, at-rs+re-i)
+		rendering = append(append(rendering, data[rs:at]...), data[i:re]...)
+	}
+	return m, rendering, true
 }
 
 // verify checks that a parsed manifest belongs to (key, version) and is
 // internally consistent, returning its result.
-func (m *manifestIn) verify(key, version string) (core.Result, error) {
+func (m *manifest) verify(key, version string) (core.Result, error) {
 	if m.Key != key || m.Version != version {
 		return core.Result{}, errManifestMismatch
 	}
@@ -277,15 +366,47 @@ func (m *manifestIn) verify(key, version string) (core.Result, error) {
 }
 
 // decodeManifest parses manifest bytes and verifies they belong to
-// (key, version).  Any failure — truncation, corruption, a manifest
+// (key, version), returning the result and, when parseManifest has one,
+// its reply rendering.  Any failure — truncation, corruption, a manifest
 // copied to the wrong name, a stale code version — returns an error; the
 // caller treats it as a miss, never as a fatal condition.
-func decodeManifest(data []byte, key, version string) (core.Result, error) {
-	m, err := parseManifest(data)
+func decodeManifest(data []byte, key, version string) (core.Result, []byte, error) {
+	m, rendering, err := parseManifest(data)
 	if err != nil {
-		return core.Result{}, err
+		return core.Result{}, nil, err
 	}
-	return m.verify(key, version)
+	res, err := m.verify(key, version)
+	if err != nil {
+		return core.Result{}, nil, err
+	}
+	return res, rendering, nil
+}
+
+// ParsePerSet decodes a JSON object of per-set arrays, a cache.PerSet as
+// encoding/json writes it, as json.Unmarshal into a zero cache.PerSet
+// decodes it, except that a repeated key's last value alone decides: the
+// arrays go through parseCounts, not element by element through
+// reflection.  An absent array stays nil.
+func ParsePerSet(data []byte) (cache.PerSet, error) {
+	var raw struct{ Accesses, Hits, Misses json.RawMessage }
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return cache.PerSet{}, fmt.Errorf("resultstore: parse per-set counts: %w", err)
+	}
+	var ps cache.PerSet
+	for _, c := range [...]struct {
+		raw json.RawMessage
+		dst *[]uint64
+	}{{raw.Accesses, &ps.Accesses}, {raw.Hits, &ps.Hits}, {raw.Misses, &ps.Misses}} {
+		if c.raw == nil {
+			continue
+		}
+		v, err := parseCounts(c.raw)
+		if err != nil {
+			return cache.PerSet{}, fmt.Errorf("resultstore: parse per-set counts: %w", err)
+		}
+		*c.dst = v
+	}
+	return ps, nil
 }
 
 // errBadCounts marks a per-set array that json.Unmarshal would not
@@ -377,16 +498,36 @@ func skipSpace(data []byte, i int) int {
 // a decompressor carries a 32 KiB window, and Reset reuses it.
 var inflaters = sync.Pool{New: func() any { return flate.NewReader(nil) }}
 
-// inflatedPerByte sizes an inflated manifest's buffer from its
-// compressed size.  Manifests deflate 3x to 30x at BestSpeed, the more
-// the more sets and the fewer distinct counts; a buffer that fills up
-// doubles, so a 1024-set manifest regrows at most twice.
+// inflateBufs pools the buffers compressed manifests inflate into.  A
+// decoded manifest holds copies only (parseCounts' slices,
+// json.Unmarshal's strings, the rendering), so a buffer goes back to the
+// pool once its manifest is decoded, and a warm disk hit reads into a
+// buffer that already fits.
+var inflateBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledInflate keeps outsized buffers (manifests of very large
+// layouts) from pinning memory in the pool.
+const maxPooledInflate = 1 << 20
+
+// putInflateBuf returns buf to inflateBufs.
+func putInflateBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledInflate {
+		inflateBufs.Put(buf)
+	}
+}
+
+// inflatedPerByte sizes a buffer that is too small for an inflated
+// manifest from its compressed size.  Manifests deflate 3x to 30x at
+// BestSpeed, the more the more sets and the fewer distinct counts; a
+// buffer that fills up doubles.
 const inflatedPerByte = 8
 
 // readMaybeCompressed reads an artifact payload, inflating it when the
 // path carries the compressed extension: the file is read whole, then
-// inflated by a pooled decompressor into a buffer sized from it.
-func readMaybeCompressed(path string) ([]byte, error) {
+// inflated by a pooled decompressor into *buf's storage, which is grown
+// as needed and left in *buf for the caller to return to inflateBufs.
+// An uncompressed payload is returned as read.
+func readMaybeCompressed(path string, buf *[]byte) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil || !strings.HasSuffix(path, manifestExt) {
 		return data, err
@@ -396,7 +537,10 @@ func readMaybeCompressed(path string) ([]byte, error) {
 	if err := zr.(flate.Resetter).Reset(bytes.NewReader(data), nil); err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, len(data)*inflatedPerByte)
+	out := (*buf)[:0]
+	if cap(out) < len(data)*inflatedPerByte {
+		out = make([]byte, 0, len(data)*inflatedPerByte)
+	}
 	for {
 		if len(out) == cap(out) {
 			out = slices.Grow(out, cap(out))
@@ -405,11 +549,26 @@ func readMaybeCompressed(path string) ([]byte, error) {
 		out = out[:len(out)+n]
 		switch {
 		case err == io.EOF:
+			*buf = out
 			return out, nil
 		case err != nil:
+			*buf = out
 			return nil, err
 		}
 	}
+}
+
+// readManifestFile reads and decodes the manifest at path against (key,
+// version), inflating it into a pooled buffer that is reused once the
+// decode returns.
+func readManifestFile(path, key, version string) (core.Result, []byte, error) {
+	buf := inflateBufs.Get().(*[]byte)
+	defer putInflateBuf(buf)
+	data, err := readMaybeCompressed(path, buf)
+	if err != nil {
+		return core.Result{}, nil, err
+	}
+	return decodeManifest(data, key, version)
 }
 
 // loadManifest reads the on-disk tier: the compressed manifest first,
@@ -418,39 +577,35 @@ func readMaybeCompressed(path string) ([]byte, error) {
 // or mismatched file is also a miss but counted as corrupt.  A
 // successful read bumps the artifact's AccessedAt (throttled), and a
 // legacy hit is migrated to the compressed form in place so the store
-// converges to one format without a rewrite pass.
-func (s *Store) loadManifest(key string) (core.Result, bool) {
+// converges to one format without a rewrite pass.  rendering is the
+// result's reply rendering when the manifest has one (parseManifest).
+func (s *Store) loadManifest(key string) (res core.Result, rendering []byte, ok bool) {
 	path := s.manifestPath(key)
-	data, err := readMaybeCompressed(path)
+	res, rendering, err := readManifestFile(path, key, s.version)
 	switch {
 	case err == nil:
-		res, derr := decodeManifest(data, key, s.version)
-		if derr != nil {
-			s.corrupt.Add(1)
-			return core.Result{}, false
-		}
 		s.touch(key, path)
-		return res, true
+		return res, rendering, true
 	case !os.IsNotExist(err):
 		s.corrupt.Add(1)
-		return core.Result{}, false
+		return core.Result{}, nil, false
 	}
 
 	legacy := s.legacyManifestPath(key)
-	data, err = os.ReadFile(legacy)
+	data, err := os.ReadFile(legacy)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			s.corrupt.Add(1)
 		}
-		return core.Result{}, false
+		return core.Result{}, nil, false
 	}
-	res, derr := decodeManifest(data, key, s.version)
-	if derr != nil {
+	res, rendering, err = decodeManifest(data, key, s.version)
+	if err != nil {
 		s.corrupt.Add(1)
-		return core.Result{}, false
+		return core.Result{}, nil, false
 	}
 	s.migrateLegacy(key, data)
-	return res, true
+	return res, rendering, true
 }
 
 // migrateLegacy rewrites a legacy uncompressed manifest as a compressed

@@ -1,11 +1,16 @@
 package resultstore
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 
 	"cacheuniformity/internal/core"
 	"cacheuniformity/internal/registry"
+	"cacheuniformity/internal/report"
 	"cacheuniformity/internal/testutil"
 )
 
@@ -62,14 +67,15 @@ func TestRenderingLivesWithEntry(t *testing.T) {
 		t.Fatalf("second CellResolved: slot %p err %v, want the entry's slot %p", again.Rendering, err, c.Rendering)
 	}
 
-	// LRU eviction: the disk hit promotes a fresh entry.
+	// LRU eviction: the disk hit promotes a fresh entry holding the
+	// manifest's rendering.
 	for seed := uint64(2); seed <= 3; seed++ {
 		if _, _, err := resolvedCell(t, ctx, s, seed); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if origin, r := loadRendering(t, s, k1); origin != OriginDisk || r != "" {
-		t.Fatalf("after eviction: origin %s rendering %q, want a disk hit without one", origin, r)
+	if origin, r := loadRendering(t, s, k1); origin != OriginDisk || r != string(docRendering(t, c.Result)) {
+		t.Fatalf("after eviction: origin %s rendering %q, want a disk hit with the manifest's", origin, r)
 	}
 	c, _ = s.PeekCell(k1)
 	c.Rendering.Store([]byte("r1-disk"))
@@ -131,18 +137,134 @@ func TestRenderingLivesWithEntry(t *testing.T) {
 	}
 }
 
-// TestRenderingNeedsMemoryTier: without a memory tier nothing holds a
-// rendering, so hits carry no slot.
+// TestRenderingNeedsMemoryTier: without a memory tier no entry keeps a
+// rendering, so a computed cell carries no slot, and each disk hit
+// carries a slot of its own holding its manifest's rendering.
 func TestRenderingNeedsMemoryTier(t *testing.T) {
 	s := openTemp(t, Options{MemoryEntries: -1})
-	for i, want := range []Origin{OriginComputed, OriginDisk} {
+	c, _, err := resolvedCell(t, context.Background(), s, 1)
+	if err != nil || c.Origin != OriginComputed || c.Rendering != nil {
+		t.Fatalf("first request: origin %s slot %p err %v, want computed without a slot", c.Origin, c.Rendering, err)
+	}
+	want := docRendering(t, c.Result)
+	var slots []*Rendering
+	for i := range 2 {
 		c, _, err := resolvedCell(t, context.Background(), s, 1)
-		if err != nil {
+		if err != nil || c.Origin != OriginDisk || !bytes.Equal(c.Rendering.Load(), want) {
+			t.Fatalf("disk hit %d: origin %s rendering %q err %v, want the manifest's", i, c.Origin, c.Rendering.Load(), err)
+		}
+		slots = append(slots, c.Rendering)
+	}
+	if slots[0] == slots[1] {
+		t.Fatal("two disk hits shared one slot")
+	}
+}
+
+// docRendering is a result's rendering in the format the Rendering doc
+// states: the canonical JSON of res without PerSet, indented by
+// json.Indent with prefix and indent "  ".
+func docRendering(t *testing.T, res core.Result) []byte {
+	t.Helper()
+	compact, err := report.CanonicalJSON(struct {
+		core.Result
+		Err    json.RawMessage `json:",omitempty"`
+		PerSet json.RawMessage `json:",omitempty"`
+	}{Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := json.Indent(&b, compact, "  ", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// rewriteManifest replaces the compressed manifest under key with
+// edit's output, failing the test unless edit changed it.
+func rewriteManifest(t *testing.T, s *Store, key string, edit func([]byte) []byte) {
+	t.Helper()
+	path := s.manifestPath(key)
+	data, err := readMaybeCompressed(path, new([]byte))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := edit(bytes.Clone(data))
+	if bytes.Equal(out, data) {
+		t.Fatal("edit left the manifest as it was")
+	}
+	zdata, err := deflate(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, zdata, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestManifestOtherLayout: a manifest in another layout than
+// encodeManifest's (here compact) is decoded by json.Unmarshal and
+// serves the same result, with no rendering.
+func TestManifestOtherLayout(t *testing.T) {
+	dir := t.TempDir()
+	c, key, err := resolvedCell(t, context.Background(), openTemp(t, Options{Dir: dir}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := openTemp(t, Options{Dir: dir, MemoryEntries: -1})
+	rewriteManifest(t, s, key, func(data []byte) []byte {
+		var b bytes.Buffer
+		if err := json.Compact(&b, data); err != nil {
 			t.Fatal(err)
 		}
-		if c.Origin != want || c.Rendering != nil {
-			t.Fatalf("request %d: origin %s slot %p, want %s without a slot", i, c.Origin, c.Rendering, want)
-		}
+		return b.Bytes()
+	})
+	got, ok := s.PeekCell(key)
+	if !ok || got.Origin != OriginDisk || got.Rendering != nil {
+		t.Fatalf("compact manifest: ok %v origin %s slot %p, want a disk hit without a rendering", ok, got.Origin, got.Rendering)
+	}
+	if !reflect.DeepEqual(got.Result, c.Result) {
+		t.Fatalf("compact manifest served %+v, want %+v", got.Result, c.Result)
+	}
+}
+
+// TestCorruptPerSetIsMiss: a manifest with a negative or fractional
+// per-set count is a miss counted as corrupt, and the deep scrub removes
+// it while it keeps a stale-version manifest.
+func TestCorruptPerSetIsMiss(t *testing.T) {
+	for _, bad := range []string{"-1", "1.5"} {
+		t.Run(bad, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx := context.Background()
+			if _, _, err := openTemp(t, Options{Dir: dir, Version: "old"}).Cell(ctx, tinyConfig(), "xor", "crc"); err != nil {
+				t.Fatal(err)
+			}
+			stale, err := CellKeyDecl(tinyConfig(), registry.Decl{Name: "xor"}, registry.Decl{Name: "crc"}, "old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, key, err := resolvedCell(t, ctx, openTemp(t, Options{Dir: dir}), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := openTemp(t, Options{Dir: dir})
+			rewriteManifest(t, s, key, func(data []byte) []byte {
+				return bytes.Replace(data, []byte("\"Accesses\": [\n        "), []byte("\"Accesses\": [\n        "+bad+",\n        "), 1)
+			})
+			if _, ok := s.PeekCell(key); ok {
+				t.Fatal("a manifest with a bad per-set count was served")
+			}
+			if n := s.Counters().CorruptManifests; n != 1 {
+				t.Fatalf("corrupt manifests = %d, want 1", n)
+			}
+			openTemp(t, Options{Dir: dir, DeepScrub: true})
+			if fileSize(s.manifestPath(key)) >= 0 {
+				t.Error("deep scrub kept the corrupt manifest")
+			}
+			if fileSize(s.manifestPath(stale)) < 0 {
+				t.Error("deep scrub removed the stale-version manifest")
+			}
+		})
 	}
 }
 

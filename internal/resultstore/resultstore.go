@@ -187,13 +187,13 @@ func (s *Store) memGet(key string) (*lruEntry, bool) {
 
 // memAdd inserts into the in-memory tier under its lock, counts any
 // evictions, and returns the new entry's rendering slot (nil without a
-// memory tier).
-func (s *Store) memAdd(key string, res core.Result) *Rendering {
+// memory tier), holding rendering when that is non-nil.
+func (s *Store) memAdd(key string, res core.Result, rendering []byte) *Rendering {
 	if s.mem == nil {
 		return nil
 	}
 	s.memMu.Lock()
-	e, evicted := s.mem.add(key, res)
+	e, evicted := s.mem.add(key, res, rendering)
 	s.memMu.Unlock()
 	if evicted > 0 {
 		s.evictions.Add(uint64(evicted))

@@ -145,11 +145,13 @@ func (s *Store) verifyArtifact(path, key string, trace bool) bool {
 		_, derr := s.loadTraceFile(f)
 		return derr == nil
 	}
-	data, err := readMaybeCompressed(path)
+	buf := inflateBufs.Get().(*[]byte)
+	defer putInflateBuf(buf)
+	data, err := readMaybeCompressed(path, buf)
 	if err != nil {
 		return false
 	}
-	m, err := parseManifest(data)
+	m, _, err := parseManifest(data)
 	if err != nil {
 		return false
 	}

@@ -181,9 +181,11 @@ func decodePeerCell(data []byte, key, schemeName, benchName string) (core.Result
 			res.Scheme, res.Benchmark, schemeName, benchName)
 	}
 	if len(pr.Result.PerSet) > 0 {
-		if err := json.Unmarshal(pr.Result.PerSet, &res.PerSet); err != nil {
+		ps, err := resultstore.ParsePerSet(pr.Result.PerSet)
+		if err != nil {
 			return core.Result{}, fmt.Errorf("server: peer PerSet: %w", err)
 		}
+		res.PerSet = ps
 	}
 	return res, nil
 }

@@ -24,9 +24,11 @@ import (
 //     JSON encoder, whose escaping is part of the bytes; elapsed_ns
 //     through strconv; the two declarations from the canonical JSON the
 //     store key was derived from, indented at depth 1;
-//   - the result without PerSet, rendered once per memory-tier entry and
-//     kept in the entry's resultstore.Rendering slot, so a hit writes
-//     bytes instead of encoding the result again; results that no entry
+//   - the result without PerSet, kept in the resultstore.Rendering slot
+//     of the memory-tier entry that holds the result, so a hit writes
+//     bytes instead of encoding the result again: a disk hit's slot
+//     comes filled from its manifest, any other is filled by
+//     renderResult on the entry's first reply; results that no slot
 //     holds are rendered per reply;
 //   - for include_per_set, the three per-set arrays written straight from
 //     their []uint64 slices by appendPerSet at their sorted key position.
@@ -98,8 +100,9 @@ func (s *Server) replyCell(w http.ResponseWriter, req *cellRequest, id *cellID, 
 	}
 }
 
-// renderResult is the rendering a memory-tier entry keeps: the canonical
-// JSON of res without PerSet, indented as it sits inside the envelope.
+// renderResult renders res in the format resultstore.Rendering states:
+// the canonical JSON of res without PerSet, indented as it sits inside
+// the envelope.
 func renderResult(res core.Result) ([]byte, error) {
 	body, err := toResultJSON(res, false)
 	if err != nil {

@@ -208,8 +208,10 @@ func TestCellResponseKeysSorted(t *testing.T) {
 
 // TestCellReplyMatchesOracle: computed and memory replies, disk hits
 // followed by memory hits on the promoted entries, and hits on legacy
-// uncompressed manifests, with and without per-set counts, at 2, 64 and
-// 1024 sets, for each of renderCases, are byte-identical to the oracle.
+// uncompressed manifests and on manifests in another layout (compact,
+// which the store decodes without a rendering), with and without
+// per-set counts, at 2, 64 and 1024 sets, for each of renderCases, are
+// byte-identical to the oracle.
 func TestCellReplyMatchesOracle(t *testing.T) {
 	golden := openTestStore(t, resultstore.Options{})
 	for _, sets := range []int{2, 64, 1024} {
@@ -235,10 +237,14 @@ func TestCellReplyMatchesOracle(t *testing.T) {
 				// A fresh store over the same directory: disk hits that
 				// promote into memory, then memory hits on the promoted
 				// entries.  Then again over the manifests rewritten in the
-				// legacy uncompressed form.
-				for _, legacy := range []bool{false, true} {
-					if legacy {
+				// legacy uncompressed form, and in the compact layout.
+				for _, layout := range []string{"compressed", "legacy", "compact"} {
+					legacy := layout == "legacy"
+					switch layout {
+					case "legacy":
 						legacyManifests(t, dir)
+					case "compact":
+						compactManifests(t, dir)
 					}
 					srv2, url2 := serveStore(t, openTestStore(t, resultstore.Options{Dir: dir}), 0)
 					for seed, perSet := range []bool{false, true} {
@@ -246,12 +252,12 @@ func TestCellReplyMatchesOracle(t *testing.T) {
 						for i, w := range []resultstore.Origin{resultstore.OriginDisk, resultstore.OriginMemory} {
 							status, body := postJSON(t, url2+"/v1/cell", c.body(t))
 							if got := checkReply(t, srv2, golden, c, status, body); got != w {
-								t.Fatalf("reopened (legacy %v) request %d origin = %s, want %s", legacy, i, got, w)
+								t.Fatalf("reopened (%s) request %d origin = %s, want %s", layout, i, got, w)
 							}
 						}
 					}
 					if m := srv2.cfg.Store.Counters().Migrations; legacy != (m > 0) {
-						t.Fatalf("reopened (legacy %v): %d legacy manifests migrated", legacy, m)
+						t.Fatalf("reopened (%s): %d legacy manifests migrated", layout, m)
 					}
 				}
 			})
@@ -262,6 +268,42 @@ func TestCellReplyMatchesOracle(t *testing.T) {
 // legacyManifests rewrites every compressed manifest under dir as the
 // uncompressed file a store from before compression wrote.
 func legacyManifests(t *testing.T, dir string) {
+	t.Helper()
+	eachManifest(t, dir, func(path string, data []byte) error {
+		if err := os.WriteFile(strings.TrimSuffix(path, ".z"), data, 0o644); err != nil {
+			return err
+		}
+		return os.Remove(path)
+	})
+}
+
+// compactManifests rewrites every compressed manifest under dir in the
+// compact layout, still compressed.
+func compactManifests(t *testing.T, dir string) {
+	t.Helper()
+	eachManifest(t, dir, func(path string, data []byte) error {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, data); err != nil {
+			return err
+		}
+		var zdata bytes.Buffer
+		zw, err := flate.NewWriter(&zdata, flate.BestSpeed)
+		if err != nil {
+			return err
+		}
+		if _, err := zw.Write(compact.Bytes()); err != nil {
+			return err
+		}
+		if err := zw.Close(); err != nil {
+			return err
+		}
+		return os.WriteFile(path, zdata.Bytes(), 0o644)
+	})
+}
+
+// eachManifest calls rewrite with the path and inflated bytes of every
+// compressed manifest under dir.
+func eachManifest(t *testing.T, dir string, rewrite func(path string, data []byte) error) {
 	t.Helper()
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !strings.HasSuffix(path, ".json.z") {
@@ -275,13 +317,127 @@ func legacyManifests(t *testing.T, dir string) {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(strings.TrimSuffix(path, ".z"), data, 0o644); err != nil {
-			return err
-		}
-		return os.Remove(path)
+		return rewrite(path, data)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDiskHitRendering: a disk hit arrives with its slot holding the
+// manifest's rendering, equal to renderResult of its result, with a
+// memory tier (the promoted entry keeps it for the memory hits after)
+// and without one (a slot for the hit alone).  Every slot still holds
+// its bytes after the later disk hits, which reuse the inflate buffers.
+func TestDiskHitRendering(t *testing.T) {
+	dir := t.TempDir()
+	srv, url := serveStore(t, openTestStore(t, resultstore.Options{Dir: dir}), 0)
+	keys := make([]string, len(renderCases))
+	for ci, c := range renderCases {
+		sets := 1024
+		c.over.Sets = &sets
+		if status, body := postJSON(t, url+"/v1/cell", c.body(t)); status != http.StatusOK {
+			t.Fatalf("case %d: status %d: %s", ci, status, body)
+		}
+		cfg, err := srv.simConfig(&c.over)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys[ci], err = resultstore.CellKeyDecl(cfg, c.scheme, c.bench, srv.cfg.Store.Version()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, entries := range []int{0, -1} {
+		store := openTestStore(t, resultstore.Options{Dir: dir, MemoryEntries: entries})
+		want := []resultstore.Origin{resultstore.OriginDisk, resultstore.OriginMemory}
+		if entries < 0 {
+			want[1] = resultstore.OriginDisk
+		}
+		var served []resultstore.Served
+		for ci, key := range keys {
+			for _, w := range want {
+				c, ok := store.PeekCell(key)
+				if !ok || c.Origin != w {
+					t.Fatalf("case %d, memory entries %d: ok %v origin %s, want %s", ci, entries, ok, c.Origin, w)
+				}
+				served = append(served, c)
+			}
+		}
+		for i, c := range served {
+			rendered, err := renderResult(c.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameBytes(t, fmt.Sprintf("memory entries %d, hit %d (%s) slot", entries, i, c.Origin), c.Rendering.Load(), rendered)
+		}
+	}
+
+	// Concurrent disk hits share the pooled inflate buffers: each slot
+	// must still hold its own manifest's bytes.
+	store := openTestStore(t, resultstore.Options{Dir: dir, MemoryEntries: -1})
+	const workers, rounds = 8, 10
+	served := make([][]resultstore.Served, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				c, ok := store.PeekCell(keys[(w+r)%len(keys)])
+				if !ok || c.Origin != resultstore.OriginDisk {
+					t.Errorf("worker %d round %d: ok %v origin %s, want a disk hit", w, r, ok, c.Origin)
+					return
+				}
+				served[w] = append(served[w], c)
+			}
+		}()
+	}
+	wg.Wait()
+	for w, cs := range served {
+		for r, c := range cs {
+			rendered, err := renderResult(c.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameBytes(t, fmt.Sprintf("concurrent worker %d round %d slot", w, r), c.Rendering.Load(), rendered)
+		}
+	}
+}
+
+// TestDecodePeerPerSet: a peer reply's per-set counts decode as
+// json.Unmarshal decodes them, and a negative or fractional count
+// rejects the body.
+func TestDecodePeerPerSet(t *testing.T) {
+	ps := randomPerSet(rand.New(rand.NewPCG(5, 6)), 1024)
+	res := core.Result{Benchmark: "crc", Scheme: "xor", MissRate: 0.25, AMAT: 5.75, PerSet: ps}
+	result, err := renderResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := appendCellResponse(nil, &cellResponse{
+		Scheme: "xor", Benchmark: "crc", Key: "k", Origin: resultstore.OriginMemory,
+		SchemeDecl:    canonicalJSON(t, registry.Decl{Name: "xor", Kind: "xor"}),
+		BenchmarkDecl: canonicalJSON(t, registry.KernelDecl("crc")),
+	}, result, &ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodePeerCell(body, "k", "xor", "crc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, res) {
+		t.Fatalf("decoded %+v, want %+v", got, res)
+	}
+	first := fmt.Sprintf("\"Hits\": [\n%s%d", depth4, ps.Hits[0])
+	for _, bad := range []string{"-1", "1.5"} {
+		corrupt := bytes.Replace(body, []byte(first), []byte("\"Hits\": [\n"+depth4+bad), 1)
+		if bytes.Equal(corrupt, body) {
+			t.Fatalf("no %q in the reply", first)
+		}
+		if _, err := decodePeerCell(corrupt, "k", "xor", "crc"); err == nil {
+			t.Fatalf("a peer count of %s was accepted", bad)
+		}
 	}
 }
 
