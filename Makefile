@@ -93,6 +93,8 @@ fuzz-smoke:
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzManifestCounts -fuzztime 10s
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzCellKeyPayload -fuzztime 10s
+	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzManifestEncode -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodePeerCell -fuzztime 10s
 	$(GO) test ./internal/registry -run '^$$' -fuzz FuzzRosterDecode -fuzztime 10s
 
 bench:
@@ -108,14 +110,16 @@ bench-grid:
 
 # Result-store benchmark trio (cold simulation vs warm memory vs warm
 # disk), the key layer (BenchmarkCellKey: catalog names, inline
-# declarations), the disk tier's decode (BenchmarkDecodeManifest: one
-# 1024-set manifest) and the HTTP edge of a warm /v1/cell hit
+# declarations), the disk tier's encode and decode
+# (BenchmarkEncodeManifest, BenchmarkDecodeManifest: one 1024-set
+# manifest) and the HTTP edge of a warm /v1/cell hit
 # (BenchmarkServeCell: memory, memory with per-set counts, disk),
-# summarised into BENCH_serve.json.  The key layer, the decode and the
-# edge are recorded, not gated; the run is gated on the cold/warm ratio: serving
-# a cached cell must beat recomputing it by >= 100x.
+# summarised into BENCH_serve.json.  The key layer, the encode, the
+# decode and the edge are recorded, not gated; the run is gated on the
+# cold/warm ratio: serving a cached cell must beat recomputing it by
+# >= 100x.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkCell(Cold|WarmMemory|WarmDisk|Key)$$|BenchmarkDecodeManifest$$|BenchmarkServeCell$$' -benchmem -count 3 \
+	$(GO) test -run '^$$' -bench 'BenchmarkCell(Cold|WarmMemory|WarmDisk|Key)$$|Benchmark(En|De)codeManifest$$|BenchmarkServeCell$$' -benchmem -count 3 \
 		./internal/resultstore ./internal/server \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json \
 			-minspeedup BenchmarkCellCold/BenchmarkCellWarmMemory=$(SERVE_MIN_SPEEDUP)

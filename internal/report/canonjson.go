@@ -144,6 +144,18 @@ func appendCanonicalNumber(b []byte, s string) ([]byte, error) {
 	return out, nil
 }
 
+// AppendIndented appends compact JSON as CanonicalJSONIndent(v, "  ")
+// lays it out for a member value of the top-level object: indented by
+// json.Indent with prefix and indent "  ".  Callers that write indented
+// canonical JSON by hand use it for the values they splice in.
+func AppendIndented(b, compact []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(b)
+	if err := json.Indent(buf, compact, "  ", "  "); err != nil {
+		return nil, fmt.Errorf("report: canonical json: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
 // AppendString appends s as CanonicalJSON renders a string: through
 // encoding/json, whose escaping ("<" becomes \u003c) is part of the
 // bytes.  encoding/json writes each byte of invalid UTF-8 as \ufffd,

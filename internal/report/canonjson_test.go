@@ -147,3 +147,28 @@ func TestCanonicalJSONIndentMatchesCompact(t *testing.T) {
 		t.Fatalf("indent changed content:\n%s\n%s", buf.String(), compact)
 	}
 }
+
+// TestAppendIndentedMatchesMember: a value appended by AppendIndented
+// after its key is byte for byte that member in CanonicalJSONIndent of
+// the enclosing object.
+func TestAppendIndentedMatchesMember(t *testing.T) {
+	inner := map[string]any{"b": []int{1, 2}, "a": map[string]any{"x": "<&>", "y": []int{}}, "c": 1.5}
+	want, err := CanonicalJSONIndent(map[string]any{"k": inner}, "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := CanonicalJSON(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AppendIndented([]byte("{\n  \"k\": "), compact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = append(got, "\n}"...); !bytes.Equal(got, want) {
+		t.Fatalf("AppendIndented gave\n%s\nwant\n%s", got, want)
+	}
+	if _, err := AppendIndented(nil, []byte("{")); err == nil {
+		t.Fatal("AppendIndented accepted invalid JSON")
+	}
+}

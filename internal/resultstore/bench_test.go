@@ -121,11 +121,10 @@ func BenchmarkCellKey(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeManifest measures the disk tier's decode alone: one
-// 1024-set manifest, as encodeManifest writes it for a computed cell,
-// parsed and verified into a result and its reply rendering.  The read
-// and the inflate are not timed (BenchmarkCellWarmDisk has them).
-func BenchmarkDecodeManifest(b *testing.B) {
+// benchManifestCell is the cell the manifest benchmarks encode and
+// decode: xor on crc at the default 1024-set layout.
+func benchManifestCell(b *testing.B) (string, core.Config, core.Result) {
+	b.Helper()
 	cfg := core.Default()
 	cfg.TraceLength = 20_000
 	res, err := core.RunOne(context.Background(), cfg, "xor", "crc")
@@ -136,7 +135,30 @@ func BenchmarkDecodeManifest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	data, err := encodeManifest(key, CodeVersion, cfg, res)
+	return key, cfg, res
+}
+
+// BenchmarkEncodeManifest measures the disk tier's encode alone: one
+// 1024-set manifest and its reply rendering, as a computed cell's are
+// written.  The compression and the write are not timed.
+func BenchmarkEncodeManifest(b *testing.B) {
+	key, cfg, res := benchManifestCell(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, _, err := encodeManifest(key, CodeVersion, cfg, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeManifest measures the disk tier's decode alone: one
+// 1024-set manifest, as encodeManifest writes it for a computed cell,
+// parsed and verified into a result and its reply rendering.  The read
+// and the inflate are not timed (BenchmarkCellWarmDisk has them).
+func BenchmarkDecodeManifest(b *testing.B) {
+	key, cfg, res := benchManifestCell(b)
+	data, _, err := encodeManifest(key, CodeVersion, cfg, res)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,15 +24,15 @@ const (
 )
 
 // Served is one cell as the store served it: the result, the tier or
-// path that supplied it, and the rendering slot of the memory-tier entry
-// that holds it.  Rendering is nil when no entry holds the result — a
-// failed result (never cached) or a store without a memory tier — except
-// on a disk hit whose manifest carried a rendering, which comes in a
-// slot of its own.
+// path that supplied it, and the result's reply rendering (see
+// lruEntry.render), with or without a memory tier.  Rendering is nil
+// for a failed result, which is never stored, and for a result the
+// codec cannot encode.  Its bytes are shared: callers must not modify
+// them.
 type Served struct {
 	Result    core.Result
 	Origin    Origin
-	Rendering *Rendering
+	Rendering []byte
 }
 
 // lookup is PeekCell for a request this node serves: absence from both

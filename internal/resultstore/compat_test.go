@@ -35,7 +35,7 @@ func writeLegacyStore(t *testing.T, dir string, n int) (keys []string, results [
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := encodeManifest(key, CodeVersion, c, res)
+		data, _, err := encodeManifest(key, CodeVersion, c, res)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func (s *Store) CellDecl(ctx context.Context, cfg core.Config, schemeDecl, bench
 // declarations (Resolve) and derived key from them with
 // CellKeyCanonical under this store's Version — the server does both
 // once per request.  The contract is CellDecl's; the Served value also
-// carries the memory entry's rendering slot.
+// carries the result's reply rendering.
 func (s *Store) CellResolved(ctx context.Context, cfg core.Config, scheme core.Scheme, spec workload.Spec, key string) (Served, error) {
 	cfg.Memo = nil
 	if s.traces != nil {

@@ -16,24 +16,19 @@ func (s *Store) Peek(key string) (core.Result, Origin, bool) {
 	return c.Result, c.Origin, ok
 }
 
-// PeekCell is Peek that also returns the hit entry's rendering slot.  A
-// disk hit's is the slot of the memory entry it was promoted to, holding
-// the manifest's rendering when it has one; without a memory tier that
-// rendering comes in a slot of its own, for this hit alone.
+// PeekCell is Peek that also returns the result's reply rendering: a
+// memory hit's from its entry, a disk hit's from the manifest it read
+// (decodeManifest), which the promoted entry keeps.
 func (s *Store) PeekCell(key string) (Served, bool) {
 	if e, ok := s.memGet(key); ok {
 		s.memHits.Add(1)
-		return Served{Result: e.res, Origin: OriginMemory, Rendering: &e.render}, true
+		return Served{Result: e.res, Origin: OriginMemory, Rendering: e.render}, true
 	}
 	if s.dir != "" {
 		if res, rendering, ok := s.loadManifest(key); ok {
 			s.diskHits.Add(1)
-			slot := s.memAdd(key, res, rendering)
-			if slot == nil && rendering != nil {
-				slot = new(Rendering)
-				slot.Store(rendering)
-			}
-			return Served{Result: res, Origin: OriginDisk, Rendering: slot}, true
+			s.memAdd(key, res, rendering)
+			return Served{Result: res, Origin: OriginDisk, Rendering: rendering}, true
 		}
 	}
 	return Served{}, false
@@ -47,19 +42,23 @@ func (s *Store) PeekCell(key string) (Served, bool) {
 // manifest persist failure degrades the fill to memory-only, mirroring
 // finish.
 func (s *Store) Fill(key string, cfg core.Config, res core.Result) error {
+	_, err := s.FillCell(key, cfg, res)
+	return err
+}
+
+// FillCell is Fill that also returns the result's reply rendering, the
+// one the memory entry keeps and the manifest was built from.
+func (s *Store) FillCell(key string, cfg core.Config, res core.Result) ([]byte, error) {
 	if res.Err != nil {
-		return errors.New("resultstore: refusing to fill a failed result")
+		return nil, errors.New("resultstore: refusing to fill a failed result")
 	}
 	if res.Scheme == "" || res.Benchmark == "" {
-		return errors.New("resultstore: refusing to fill a result without scheme and benchmark names")
+		return nil, errors.New("resultstore: refusing to fill a result without scheme and benchmark names")
 	}
 	s.peerFills.Add(1)
-	s.memAdd(key, res, nil)
+	rendering, data := s.encodeCell(key, cfg, res)
+	s.memAdd(key, res, rendering)
 	s.stores.Add(1)
-	if s.dir != "" {
-		if err := s.persist(key, cfg, res); err != nil {
-			s.persistErrors.Add(1)
-		}
-	}
-	return nil
+	s.persist(key, data)
+	return rendering, nil
 }

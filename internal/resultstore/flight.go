@@ -10,7 +10,7 @@ import "cacheuniformity/internal/core"
 type flight struct {
 	done   chan struct{}
 	res    core.Result
-	render *Rendering // the memory entry's slot; nil for a failed res
+	render []byte // res's reply rendering; nil for a failed res
 }
 
 // join returns the flight for key, creating it when absent.  leader is
@@ -35,7 +35,8 @@ func (s *Store) join(key string) (fl *flight, leader bool) {
 
 // finish publishes the leader's result: waiters are released, the flight
 // is retired, and — only for successful results — both tiers are
-// populated.  Errors (cancellation, injected faults, panics) are never
+// populated, the memory entry with the rendering the manifest was built
+// from.  Errors (cancellation, injected faults, panics) are never
 // cached; the next request recomputes.  The manifest is written before
 // done is closed, so once any request for a cell returns, the cell is
 // durable.
@@ -45,21 +46,16 @@ func (s *Store) finish(key string, fl *flight, cfg core.Config, res core.Result)
 	// Populate memory before retiring the flight: a request arriving in
 	// the gap hits the LRU instead of missing both the flight and the
 	// tiers and recomputing the cell.
+	var data []byte
 	if res.Err == nil {
-		fl.render = s.memAdd(key, res, nil)
+		fl.render, data = s.encodeCell(key, cfg, res)
+		s.memAdd(key, res, fl.render)
 	}
 	s.retire(key)
 
 	if res.Err == nil {
 		s.stores.Add(1)
-		if s.dir != "" {
-			if err := s.persist(key, cfg, res); err != nil {
-				// Persist failures degrade the store to memory-only for
-				// this cell rather than failing the request; the counter
-				// is the observable signal.
-				s.persistErrors.Add(1)
-			}
-		}
+		s.persist(key, data)
 	}
 
 	close(fl.done)
@@ -78,10 +74,10 @@ func (s *Store) recheck(key string, fl *flight) (Served, bool) {
 		return Served{}, false
 	}
 	s.memHits.Add(1)
-	fl.res, fl.render = e.res, &e.render
+	fl.res, fl.render = e.res, e.render
 	s.retire(key)
 	close(fl.done)
-	return Served{Result: e.res, Origin: OriginMemory, Rendering: &e.render}, true
+	return Served{Result: e.res, Origin: OriginMemory, Rendering: e.render}, true
 }
 
 // retire removes key's flight from the lock table.

@@ -51,7 +51,7 @@ func canonicalSeedManifest(tb testing.TB, key, scheme, bench string) []byte {
 		ps.Hits[i], ps.Misses[i] = rng.Uint64N(500), rng.Uint64N(50)
 		ps.Accesses[i] = ps.Hits[i] + ps.Misses[i]
 	}
-	data, err := encodeManifest(key, fuzzVersion, cfg, core.Result{
+	data, _, err := encodeManifest(key, fuzzVersion, cfg, core.Result{
 		Benchmark: bench, Scheme: scheme, MissRate: 0.0345, AMAT: 1.69, PerSet: ps,
 	})
 	if err != nil {

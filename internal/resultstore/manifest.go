@@ -66,21 +66,58 @@ func (s *Store) legacyManifestPath(key string) string {
 	return filepath.Join(s.dir, key[:2], key+legacyManifestExt)
 }
 
-// encodeManifest renders the canonical manifest JSON for one cell.
-func encodeManifest(key, version string, cfg core.Config, res core.Result) ([]byte, error) {
-	m := manifest{
-		Key:       key,
-		Version:   version,
-		Scheme:    res.Scheme,
-		Benchmark: res.Benchmark,
-		Config:    cfg.Canonical(),
-		Result:    storedResult{Result: res},
+// manifestKeys is manifest's json keys in the order encodeManifest
+// writes them: sorted, as canonical JSON orders them.
+var manifestKeys = [...]string{"benchmark", "config", "key", "result", "scheme", "version"}
+
+// encodeManifest writes the manifest of one cell and returns it with
+// the result's reply rendering, which the manifest's result value is
+// built from.  The bytes are report.CanonicalJSONIndent of the manifest
+// struct with indent "  ", plus a newline (TestManifestEncodeMatchesOracle
+// and FuzzManifestEncode hold the writer to that encoder), but only the
+// result without its per-set arrays and the config pass through the
+// canonical codec: names through report.AppendString, the arrays
+// straight from their slices by AppendResult.  A non-finite value in
+// the result or the config is an error, as in the codec.
+func encodeManifest(key, version string, cfg core.Config, res core.Result) (data, rendering []byte, err error) {
+	if rendering, err = renderResult(res); err != nil {
+		return nil, nil, fmt.Errorf("resultstore: encode manifest: %w", err)
 	}
-	data, err := report.CanonicalJSONIndent(m, "  ")
+	config, err := report.CanonicalJSON(cfg.Canonical())
 	if err != nil {
-		return nil, fmt.Errorf("resultstore: encode manifest: %w", err)
+		return nil, nil, fmt.Errorf("resultstore: encode manifest: %w", err)
 	}
-	return append(data, '\n'), nil
+	// ~16 bytes per count: the line break, depth 4's eight spaces, a
+	// comma and a few digits; append grows the buffer for longer counts.
+	n := len(res.PerSet.Accesses) + len(res.PerSet.Hits) + len(res.PerSet.Misses)
+	b := make([]byte, 0, len(rendering)+2*len(config)+16*n+512)
+	b = append(b, '{')
+	for i, k := range manifestKeys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n  \""...)
+		b = append(b, k...)
+		b = append(b, "\": "...)
+		switch k {
+		case "benchmark":
+			b, err = report.AppendString(b, res.Benchmark)
+		case "config":
+			b, err = report.AppendIndented(b, config)
+		case "key":
+			b, err = report.AppendString(b, key)
+		case "result":
+			b, err = AppendResult(b, rendering, &res.PerSet)
+		case "scheme":
+			b, err = report.AppendString(b, res.Scheme)
+		case "version":
+			b, err = report.AppendString(b, version)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("resultstore: encode manifest: %w", err)
+		}
+	}
+	return append(b, "\n}\n"...), rendering, nil
 }
 
 // deflaters pools flate compressors: a Writer carries ~600 KiB of
@@ -114,14 +151,35 @@ func deflate(data []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// persist publishes the cell's compressed manifest and retires any
-// legacy uncompressed manifest for the key in the same publish.
-func (s *Store) persist(key string, cfg core.Config, res core.Result) error {
-	data, err := encodeManifest(key, s.version, cfg, res)
-	if err != nil {
-		return err
+// encodeCell builds what storing a successful result needs: its reply
+// rendering for the memory entry and, with a disk tier, its manifest.
+// A result the codec cannot encode (a non-finite value) gets neither;
+// with a disk tier that counts as a persist error.
+func (s *Store) encodeCell(key string, cfg core.Config, res core.Result) (rendering, data []byte) {
+	if s.dir == "" {
+		// Without a manifest to fail there is nothing to count; the
+		// missing rendering fails the cell's replies instead.
+		rendering, _ = renderResult(res)
+		return rendering, nil
 	}
-	return s.publish(key, s.manifestPath(key), data, &s.ledger.manifests, s.legacyManifestPath(key))
+	data, rendering, err := encodeManifest(key, s.version, cfg, res)
+	if err != nil {
+		s.persistErrors.Add(1)
+	}
+	return rendering, data
+}
+
+// persist publishes data, an encoded manifest (nil when there is none),
+// and retires any legacy uncompressed manifest for the key in the same
+// publish.  A failure degrades the cell to memory-only rather than
+// failing the request; the persist-error counter is the signal.
+func (s *Store) persist(key string, data []byte) {
+	if data == nil {
+		return
+	}
+	if err := s.publish(key, s.manifestPath(key), data, &s.ledger.manifests, s.legacyManifestPath(key)); err != nil {
+		s.persistErrors.Add(1)
+	}
 }
 
 // publish is the one write path for on-disk artifacts, manifests and
@@ -228,7 +286,7 @@ var errManifestMismatch = errors.New("resultstore: manifest does not match its k
 // encodeManifest writes is read in one pass by parseCanonical, which
 // also returns the result's reply rendering; any other document — a
 // hand-edited file, another writer's layout — goes through
-// json.Unmarshal and has no rendering.
+// json.Unmarshal and has no rendering (decodeManifest makes one).
 func parseManifest(data []byte) (manifest, []byte, error) {
 	if m, rendering, ok := parseCanonical(data); ok {
 		return m, rendering, nil
@@ -240,20 +298,6 @@ func parseManifest(data []byte) (manifest, []byte, error) {
 	return m, nil, nil
 }
 
-// The layout encodeManifest writes around the per-set arrays: result's
-// members sit at depth 2, PerSet's at depth 3, and PerSet is followed by
-// the result's last member, Scheme.  The match starts at the raw newline
-// before PerSet's key; a JSON string holds no raw newline, so the match
-// cannot start inside a string.
-const perSetKey = "\n    \"PerSet\": "
-
-var perSetSeps = [...][]byte{
-	[]byte(perSetKey + "{\n      \"Accesses\": "),
-	[]byte(",\n      \"Hits\": "),
-	[]byte(",\n      \"Misses\": "),
-	[]byte("\n    },"),
-}
-
 // resultOpen and resultClose bracket the top-level result value.
 var (
 	resultOpen  = []byte("\n  \"result\": ")
@@ -261,7 +305,7 @@ var (
 )
 
 // perSetSentinel stands in for the per-set object in the rest of the
-// document that parseCanonical hands to json.Unmarshal.
+// document that unmarshalCut hands to json.Unmarshal.
 var perSetSentinel = []byte(`"\u0000"`)
 
 // manifestHead is manifest as parseCanonical decodes the rest of the
@@ -271,42 +315,49 @@ type manifestHead struct {
 	manifest
 	Result struct {
 		storedResult
-		PerSet perSetMark `json:"PerSet"`
+		PerSet PerSetMark `json:"PerSet"`
 	} `json:"result"`
 }
 
-// perSetMark counts the values json.Unmarshal decodes into result.PerSet
-// (case-insensitive key matches and null included) and whether the last
-// one was perSetSentinel.
-type perSetMark struct {
+// PerSetMark stands for result.PerSet in a document UnmarshalCut
+// decodes: it counts the values json.Unmarshal decodes into it
+// (case-insensitive key matches and null included) and records whether
+// the last one was the sentinel that replaced the per-set object.
+type PerSetMark struct {
 	n        int
 	sentinel bool
 }
 
-func (p *perSetMark) UnmarshalJSON(b []byte) error {
+// UnmarshalJSON records one value decoded into the mark.
+func (p *PerSetMark) UnmarshalJSON(b []byte) error {
 	p.n++
 	p.sentinel = bytes.Equal(b, perSetSentinel)
 	return nil
 }
 
-// parseCanonical reads a manifest in encodeManifest's layout in one pass:
-// the per-set object is located by perSetSeps and its three arrays are
-// parsed by parseCounts; json.Unmarshal decodes only the rest of the
-// document (~2 KB at 1024 sets), with the object replaced by
-// perSetSentinel.  The sentinel, found once in that rest and decoded as
-// the only value of result.PerSet, proves the object is result's PerSet
-// and that no other PerSet key, earlier or later, merges into or
-// overrides it, so the decode equals json.Unmarshal's of the whole
-// document.  ok is false for any other document; parseManifest then
-// decides.
-//
-// rendering is result's value with its PerSet member cut out, copied
-// out of data: in encodeManifest's layout that is byte for byte the
-// reply rendering of the result (see Rendering).
-func parseCanonical(data []byte) (m manifest, rendering []byte, ok bool) {
-	at := bytes.Index(data, perSetSeps[0])
-	if at < 0 {
-		return manifest{}, nil, false
+// UnmarshalCut decodes data in one pass when its result.PerSet object is
+// laid out as a manifest and a /v1/cell reply write it (AppendResult):
+// the object is located by perSetSeps and its three arrays are parsed by
+// parseCounts and returned; json.Unmarshal decodes only the rest of the
+// document into v, with the object replaced by a sentinel.  mark is v's
+// result.PerSet field.  The sentinel, found once in that rest and
+// decoded as the only value of result.PerSet, proves the object is
+// result's PerSet and that no other PerSet key, earlier or later, merges
+// into or overrides it, so the decode equals json.Unmarshal's of the
+// whole document with the object in place of the sentinel.  ok is false
+// for any other document; v may then be partly written, and the caller
+// decodes data its own way into a fresh value.
+func UnmarshalCut(data []byte, v any, mark *PerSetMark) (ps cache.PerSet, ok bool) {
+	ps, _, _, ok = unmarshalCut(data, v, mark)
+	return ps, ok
+}
+
+// unmarshalCut is UnmarshalCut that also returns where the per-set
+// member sat: from the newline before its key (at) to just past the
+// comma after its object (end).
+func unmarshalCut(data []byte, v any, mark *PerSetMark) (ps cache.PerSet, at, end int, ok bool) {
+	if at = bytes.Index(data, perSetSeps[0]); at < 0 {
+		return cache.PerSet{}, 0, 0, false
 	}
 	var counts [3][]uint64
 	i := at + len(perSetSeps[0])
@@ -314,13 +365,13 @@ func parseCanonical(data []byte) (m manifest, rendering []byte, ok bool) {
 		end := i + 4 // a null array
 		if !isNull(data, i) {
 			if end = bytes.IndexByte(data[i:], ']'); end < 0 {
-				return manifest{}, nil, false
+				return cache.PerSet{}, 0, 0, false
 			}
 			end += i + 1
 		}
 		v, err := parseCounts(data[i:end])
 		if err != nil || !bytes.HasPrefix(data[end:], perSetSeps[k+1]) {
-			return manifest{}, nil, false
+			return cache.PerSet{}, 0, 0, false
 		}
 		counts[k], i = v, end+len(perSetSeps[k+1])
 	}
@@ -330,21 +381,36 @@ func parseCanonical(data []byte) (m manifest, rendering []byte, ok bool) {
 	head := make([]byte, 0, objStart+len(perSetSentinel)+len(data)-objEnd)
 	head = append(append(append(head, data[:objStart]...), perSetSentinel...), data[objEnd:]...)
 	if bytes.Count(head, perSetSentinel) != 1 {
-		return manifest{}, nil, false
+		return cache.PerSet{}, 0, 0, false
 	}
+	if err := json.Unmarshal(head, v); err != nil || mark.n != 1 || !mark.sentinel {
+		return cache.PerSet{}, 0, 0, false
+	}
+	return cache.PerSet{Accesses: counts[0], Hits: counts[1], Misses: counts[2]}, at, i, true
+}
+
+// parseCanonical reads a manifest in encodeManifest's layout in one pass
+// (unmarshalCut; json.Unmarshal decodes ~2 KB of a 1024-set manifest).
+// ok is false for any other document; parseManifest then decides.
+//
+// rendering is result's value with its PerSet member cut out, copied
+// out of data: in encodeManifest's layout that is byte for byte the
+// reply rendering of the result (see lruEntry.render).
+func parseCanonical(data []byte) (m manifest, rendering []byte, ok bool) {
 	var h manifestHead
-	if err := json.Unmarshal(head, &h); err != nil || h.Result.PerSet.n != 1 || !h.Result.PerSet.sentinel {
+	ps, at, end, ok := unmarshalCut(data, &h, &h.Result.PerSet)
+	if !ok {
 		return manifest{}, nil, false
 	}
 	m = h.manifest
 	m.Result = h.Result.storedResult
-	m.Result.PerSet = cache.PerSet{Accesses: counts[0], Hits: counts[1], Misses: counts[2]}
+	m.Result.PerSet = ps
 
-	if rs, re := bytes.LastIndex(data[:at], resultOpen), bytes.Index(data[i:], resultClose); rs >= 0 && re >= 0 {
+	if rs, re := bytes.LastIndex(data[:at], resultOpen), bytes.Index(data[end:], resultClose); rs >= 0 && re >= 0 {
 		rs += len(resultOpen)
-		re += i + len(resultClose)
-		rendering = make([]byte, 0, at-rs+re-i)
-		rendering = append(append(rendering, data[rs:at]...), data[i:re]...)
+		re += end + len(resultClose)
+		rendering = make([]byte, 0, at-rs+re-end)
+		rendering = append(append(rendering, data[rs:at]...), data[end:re]...)
 	}
 	return m, rendering, true
 }
@@ -366,10 +432,11 @@ func (m *manifest) verify(key, version string) (core.Result, error) {
 }
 
 // decodeManifest parses manifest bytes and verifies they belong to
-// (key, version), returning the result and, when parseManifest has one,
-// its reply rendering.  Any failure — truncation, corruption, a manifest
-// copied to the wrong name, a stale code version — returns an error; the
-// caller treats it as a miss, never as a fatal condition.
+// (key, version), returning the result and its reply rendering: the
+// manifest's own when parseManifest has one, else rendered from the
+// result.  Any failure — truncation, corruption, a manifest copied to
+// the wrong name, a stale code version — returns an error; the caller
+// treats it as a miss, never as a fatal condition.
 func decodeManifest(data []byte, key, version string) (core.Result, []byte, error) {
 	m, rendering, err := parseManifest(data)
 	if err != nil {
@@ -378,6 +445,11 @@ func decodeManifest(data []byte, key, version string) (core.Result, []byte, erro
 	res, err := m.verify(key, version)
 	if err != nil {
 		return core.Result{}, nil, err
+	}
+	if rendering == nil {
+		if rendering, err = renderResult(res); err != nil {
+			return core.Result{}, nil, err
+		}
 	}
 	return res, rendering, nil
 }
@@ -578,7 +650,7 @@ func readManifestFile(path, key, version string) (core.Result, []byte, error) {
 // successful read bumps the artifact's AccessedAt (throttled), and a
 // legacy hit is migrated to the compressed form in place so the store
 // converges to one format without a rewrite pass.  rendering is the
-// result's reply rendering when the manifest has one (parseManifest).
+// result's reply rendering (decodeManifest).
 func (s *Store) loadManifest(key string) (res core.Result, rendering []byte, ok bool) {
 	path := s.manifestPath(key)
 	res, rendering, err := readManifestFile(path, key, s.version)

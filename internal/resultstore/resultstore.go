@@ -185,20 +185,18 @@ func (s *Store) memGet(key string) (*lruEntry, bool) {
 	return e, ok
 }
 
-// memAdd inserts into the in-memory tier under its lock, counts any
-// evictions, and returns the new entry's rendering slot (nil without a
-// memory tier), holding rendering when that is non-nil.
-func (s *Store) memAdd(key string, res core.Result, rendering []byte) *Rendering {
+// memAdd inserts res and its rendering into the in-memory tier under
+// its lock (a no-op without a memory tier) and counts any evictions.
+func (s *Store) memAdd(key string, res core.Result, rendering []byte) {
 	if s.mem == nil {
-		return nil
+		return
 	}
 	s.memMu.Lock()
-	e, evicted := s.mem.add(key, res, rendering)
+	evicted := s.mem.add(key, res, rendering)
 	s.memMu.Unlock()
 	if evicted > 0 {
 		s.evictions.Add(uint64(evicted))
 	}
-	return &e.render
 }
 
 // Version returns the code-version tag baked into this store's keys.

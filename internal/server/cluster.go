@@ -96,14 +96,17 @@ func fwdConfig(cfg core.Config) *simOverrides {
 
 // peerCellReply is the subset of a peer's cellResponse the forwarder
 // validates and peer-fills from.  Unknown fields are tolerated (a newer
-// peer may say more); the key, names, and result shape are not.
-type peerCellReply struct {
+// peer may say more); the key, names, and result shape are not.  P is
+// the type the PerSet member decodes into: a json.RawMessage, or a
+// resultstore.PerSetMark when resultstore.UnmarshalCut parses the
+// arrays.
+type peerCellReply[P any] struct {
 	Key    string `json:"key"`
 	Origin string `json:"origin"`
 	Result struct {
 		core.Result
-		Err    string          `json:"Err"`
-		PerSet json.RawMessage `json:"PerSet"`
+		Err    string `json:"Err"`
+		PerSet P      `json:"PerSet"`
 	} `json:"result"`
 }
 
@@ -150,43 +153,52 @@ func (s *Server) serveForwarded(w http.ResponseWriter, r *http.Request, req *cel
 		cl.RecordBadBody(peer)
 		return false
 	}
-	if err := s.cfg.Store.Fill(id.key, id.cfg, res); err != nil {
+	rendering, err := s.cfg.Store.FillCell(id.key, id.cfg, res)
+	if err != nil {
 		return false
 	}
 	cl.RecordPeerFill(peer)
 	s.met.forwardServed.Add(1)
-	// The fill's memory entry gets its rendering on its first local hit.
-	s.replyCell(w, req, id, resultstore.Served{Result: res, Origin: OriginPeer}, now().Sub(started).Nanoseconds())
+	// The reply and the fill's memory entry share the fill's rendering.
+	s.replyCell(w, req, id, resultstore.Served{Result: res, Origin: OriginPeer, Rendering: rendering}, now().Sub(started).Nanoseconds())
 	return true
 }
 
 // decodePeerCell validates a peer's /v1/cell body against the identity
 // the forwarder derived itself: the key, the resolved names, and a
 // successful result.  Anything else is an error — the caller falls back
-// to local computation.
+// to local computation.  A body whose per-set object is laid out as
+// replyCell writes it is read in one pass (resultstore.UnmarshalCut);
+// any other goes through json.Unmarshal and resultstore.ParsePerSet,
+// with the same outcome (FuzzDecodePeerCell holds the two to that).
 func decodePeerCell(data []byte, key, schemeName, benchName string) (core.Result, error) {
-	var pr peerCellReply
-	if err := json.Unmarshal(data, &pr); err != nil {
-		return core.Result{}, fmt.Errorf("server: peer body: %w", err)
+	var head peerCellReply[resultstore.PerSetMark]
+	ps, ok := resultstore.UnmarshalCut(data, &head, &head.Result.PerSet)
+	gotKey, errText, res := head.Key, head.Result.Err, head.Result.Result
+	if !ok {
+		var pr peerCellReply[json.RawMessage]
+		if err := json.Unmarshal(data, &pr); err != nil {
+			return core.Result{}, fmt.Errorf("server: peer body: %w", err)
+		}
+		gotKey, errText, res = pr.Key, pr.Result.Err, pr.Result.Result
+		if len(pr.Result.PerSet) > 0 {
+			var err error
+			if ps, err = resultstore.ParsePerSet(pr.Result.PerSet); err != nil {
+				return core.Result{}, fmt.Errorf("server: peer PerSet: %w", err)
+			}
+		}
 	}
-	if pr.Key != key {
-		return core.Result{}, fmt.Errorf("server: peer answered key %.16s…, want %.16s…", pr.Key, key)
+	if gotKey != key {
+		return core.Result{}, fmt.Errorf("server: peer answered key %.16s…, want %.16s…", gotKey, key)
 	}
-	if pr.Result.Err != "" {
-		return core.Result{}, fmt.Errorf("server: peer result carries error %q", pr.Result.Err)
+	if errText != "" {
+		return core.Result{}, fmt.Errorf("server: peer result carries error %q", errText)
 	}
-	res := pr.Result.Result
 	if res.Scheme != schemeName || res.Benchmark != benchName {
 		return core.Result{}, fmt.Errorf("server: peer result names %s/%s, want %s/%s",
 			res.Scheme, res.Benchmark, schemeName, benchName)
 	}
-	if len(pr.Result.PerSet) > 0 {
-		ps, err := resultstore.ParsePerSet(pr.Result.PerSet)
-		if err != nil {
-			return core.Result{}, fmt.Errorf("server: peer PerSet: %w", err)
-		}
-		res.PerSet = ps
-	}
+	res.PerSet = ps
 	return res, nil
 }
 

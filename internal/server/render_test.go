@@ -118,6 +118,22 @@ func oracleBody(t testing.TB, resp cellResponse, res core.Result, perSet bool) [
 	return append(want, '\n')
 }
 
+// oracleRendering is a result's reply rendering by its definition: the
+// canonical JSON of the result without PerSet, indented as it sits
+// inside the envelope.
+func oracleRendering(t testing.TB, res core.Result) []byte {
+	t.Helper()
+	rj, err := toResultJSON(res, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := json.Indent(&b, canonicalJSON(t, rj), "  ", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // checkReply compares a 200 reply with the oracle byte for byte and
 // returns its origin.
 func checkReply(t testing.TB, srv *Server, golden *resultstore.Store, c cellCase, status int, body []byte) resultstore.Origin {
@@ -324,11 +340,12 @@ func eachManifest(t *testing.T, dir string, rewrite func(path string, data []byt
 	}
 }
 
-// TestDiskHitRendering: a disk hit arrives with its slot holding the
-// manifest's rendering, equal to renderResult of its result, with a
+// TestDiskHitRendering: a disk hit arrives with the manifest's
+// rendering, equal to the oracle's rendering of its result, with a
 // memory tier (the promoted entry keeps it for the memory hits after)
-// and without one (a slot for the hit alone).  Every slot still holds
-// its bytes after the later disk hits, which reuse the inflate buffers.
+// and without one (a copy for the hit alone).  Every rendering still
+// holds its bytes after the later disk hits, which reuse the inflate
+// buffers.
 func TestDiskHitRendering(t *testing.T) {
 	dir := t.TempDir()
 	srv, url := serveStore(t, openTestStore(t, resultstore.Options{Dir: dir}), 0)
@@ -364,16 +381,12 @@ func TestDiskHitRendering(t *testing.T) {
 			}
 		}
 		for i, c := range served {
-			rendered, err := renderResult(c.Result)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameBytes(t, fmt.Sprintf("memory entries %d, hit %d (%s) slot", entries, i, c.Origin), c.Rendering.Load(), rendered)
+			assertSameBytes(t, fmt.Sprintf("memory entries %d, hit %d (%s) rendering", entries, i, c.Origin), c.Rendering, oracleRendering(t, c.Result))
 		}
 	}
 
-	// Concurrent disk hits share the pooled inflate buffers: each slot
-	// must still hold its own manifest's bytes.
+	// Concurrent disk hits share the pooled inflate buffers: each
+	// rendering must still hold its own manifest's bytes.
 	store := openTestStore(t, resultstore.Options{Dir: dir, MemoryEntries: -1})
 	const workers, rounds = 8, 10
 	served := make([][]resultstore.Served, workers)
@@ -395,32 +408,21 @@ func TestDiskHitRendering(t *testing.T) {
 	wg.Wait()
 	for w, cs := range served {
 		for r, c := range cs {
-			rendered, err := renderResult(c.Result)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameBytes(t, fmt.Sprintf("concurrent worker %d round %d slot", w, r), c.Rendering.Load(), rendered)
+			assertSameBytes(t, fmt.Sprintf("concurrent worker %d round %d rendering", w, r), c.Rendering, oracleRendering(t, c.Result))
 		}
 	}
 }
 
-// TestDecodePeerPerSet: a peer reply's per-set counts decode as
-// json.Unmarshal decodes them, and a negative or fractional count
-// rejects the body.
+// TestDecodePeerPerSet: a peer reply in replyCell's layout is read in
+// one pass, its per-set counts decode as json.Unmarshal decodes them,
+// and a negative or fractional count rejects the body.
 func TestDecodePeerPerSet(t *testing.T) {
 	ps := randomPerSet(rand.New(rand.NewPCG(5, 6)), 1024)
 	res := core.Result{Benchmark: "crc", Scheme: "xor", MissRate: 0.25, AMAT: 5.75, PerSet: ps}
-	result, err := renderResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := appendCellResponse(nil, &cellResponse{
-		Scheme: "xor", Benchmark: "crc", Key: "k", Origin: resultstore.OriginMemory,
-		SchemeDecl:    canonicalJSON(t, registry.Decl{Name: "xor", Kind: "xor"}),
-		BenchmarkDecl: canonicalJSON(t, registry.KernelDecl("crc")),
-	}, result, &ps)
-	if err != nil {
-		t.Fatal(err)
+	body := peerReplyBody(t, res)
+	var head peerCellReply[resultstore.PerSetMark]
+	if _, ok := resultstore.UnmarshalCut(body, &head, &head.Result.PerSet); !ok {
+		t.Fatal("a reply in replyCell's layout is not read in one pass")
 	}
 	got, err := decodePeerCell(body, "k", "xor", "crc")
 	if err != nil {
@@ -429,6 +431,7 @@ func TestDecodePeerPerSet(t *testing.T) {
 	if !reflect.DeepEqual(got, res) {
 		t.Fatalf("decoded %+v, want %+v", got, res)
 	}
+	const depth4 = "        "
 	first := fmt.Sprintf("\"Hits\": [\n%s%d", depth4, ps.Hits[0])
 	for _, bad := range []string{"-1", "1.5"} {
 		corrupt := bytes.Replace(body, []byte(first), []byte("\"Hits\": [\n"+depth4+bad), 1)
@@ -437,6 +440,61 @@ func TestDecodePeerPerSet(t *testing.T) {
 		}
 		if _, err := decodePeerCell(corrupt, "k", "xor", "crc"); err == nil {
 			t.Fatalf("a peer count of %s was accepted", bad)
+		}
+	}
+}
+
+// peerReplyBody is the /v1/cell reply a peer writes for res under key
+// "k", with its per-set counts.
+func peerReplyBody(t testing.TB, res core.Result) []byte {
+	t.Helper()
+	body, err := appendCellResponse(nil, &cellResponse{
+		Scheme: res.Scheme, Benchmark: res.Benchmark, Key: "k", Origin: resultstore.OriginMemory,
+		SchemeDecl:    canonicalJSON(t, registry.Decl{Name: "xor", Kind: "xor"}),
+		BenchmarkDecl: canonicalJSON(t, registry.KernelDecl("crc")),
+	}, oracleRendering(t, res), &res.PerSet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestStoredRenderingMatchesOracle: with and without a memory tier and
+// a disk tier, computed replies match the oracle, and so does the
+// rendering the store serves for the cell afterwards, from the memory
+// entry the computation inserted or from the manifest it wrote.
+func TestStoredRenderingMatchesOracle(t *testing.T) {
+	golden := openTestStore(t, resultstore.Options{})
+	for _, entries := range []int{0, -1} {
+		for _, withDir := range []bool{true, false} {
+			opts := resultstore.Options{MemoryEntries: entries}
+			if withDir {
+				opts.Dir = t.TempDir()
+			}
+			store := openTestStore(t, opts)
+			srv, url := serveStore(t, store, 0)
+			for ci, c := range renderCases {
+				status, body := postJSON(t, url+"/v1/cell", c.body(t))
+				if got := checkReply(t, srv, golden, c, status, body); got != resultstore.OriginComputed {
+					t.Fatalf("case %d: origin %s, want computed", ci, got)
+				}
+				cfg, err := srv.simConfig(&c.over)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key, err := resultstore.CellKeyDecl(cfg, c.scheme, c.bench, store.Version())
+				if err != nil {
+					t.Fatal(err)
+				}
+				served, ok := store.PeekCell(key)
+				if ok != (entries >= 0 || withDir) {
+					t.Fatalf("entries %d dir %v case %d: stored %v", entries, withDir, ci, ok)
+				}
+				if ok {
+					assertSameBytes(t, fmt.Sprintf("entries %d dir %v case %d %s rendering", entries, withDir, ci, served.Origin),
+						served.Rendering, oracleRendering(t, served.Result))
+				}
+			}
 		}
 	}
 }
@@ -505,6 +563,20 @@ func TestCellReplyPeerMatchesOracle(t *testing.T) {
 				t.Fatalf("per_set=%v request %d origin = %s, want %s", perSet, i, got, w)
 			}
 		}
+		// The peer fill's memory entry holds the oracle's rendering.
+		cfg, err := a.srv.simConfig(&c.over)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := resultstore.CellKeyDecl(cfg, c.scheme, c.bench, a.store.Version())
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, ok := a.store.PeekCell(key)
+		if !ok || served.Origin != resultstore.OriginMemory {
+			t.Fatalf("per_set=%v: peer-filled cell ok %v origin %s, want a memory entry", perSet, ok, served.Origin)
+		}
+		assertSameBytes(t, fmt.Sprintf("per_set=%v peer-filled rendering", perSet), served.Rendering, oracleRendering(t, served.Result))
 	}
 }
 
@@ -529,9 +601,10 @@ func randomPerSet(rng *rand.Rand, n int) cache.PerSet {
 	return cache.PerSet{Accesses: draw(), Hits: draw(), Misses: draw()}
 }
 
-// TestAppendPerSetMatchesOracle compares the direct per-set writer with
-// the canonical encoder on random counts, alone at its depth and spliced
-// into a whole reply.
+// TestAppendPerSetMatchesOracle compares the direct per-set writer
+// (resultstore.AppendResult) with the canonical encoder on random
+// counts, spliced into the result alone at its depth and into a whole
+// reply.
 func TestAppendPerSetMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	var cases []cache.PerSet
@@ -544,25 +617,26 @@ func TestAppendPerSetMatchesOracle(t *testing.T) {
 		cache.PerSet{Accesses: []uint64{math.MaxUint64, 0, math.MaxUint64}, Hits: []uint64{}, Misses: []uint64{}},
 	)
 	for i, ps := range cases {
-		compact, err := report.CanonicalJSON(ps)
+		res := core.Result{Benchmark: "crc", Scheme: "xor", MissRate: 0.25, AMAT: 5.75, PerSet: ps}
+		rj, err := toResultJSON(res, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want bytes.Buffer
-		if err := json.Indent(&want, compact, depth2, "  "); err != nil {
+		if err := json.Indent(&want, canonicalJSON(t, rj), "  ", "  "); err != nil {
 			t.Fatal(err)
 		}
-		assertSameBytes(t, fmt.Sprintf("case %d per-set", i), appendPerSet(nil, &ps), want.Bytes())
+		result := oracleRendering(t, res)
+		withPerSet, err := resultstore.AppendResult(nil, result, &ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBytes(t, fmt.Sprintf("case %d result", i), withPerSet, want.Bytes())
 
-		res := core.Result{Benchmark: "crc", Scheme: "xor", MissRate: 0.25, AMAT: 5.75, PerSet: ps}
 		resp := cellResponse{
 			Scheme: "xor", Benchmark: "crc", Key: "k", Origin: resultstore.OriginMemory, ElapsedNs: 7,
 			SchemeDecl:    canonicalJSON(t, registry.Decl{Name: "xor", Kind: "xor"}),
 			BenchmarkDecl: canonicalJSON(t, registry.KernelDecl("crc")),
-		}
-		result, err := renderResult(res)
-		if err != nil {
-			t.Fatal(err)
 		}
 		got, err := appendCellResponse(nil, &resp, result, &ps)
 		if err != nil {
@@ -574,8 +648,8 @@ func TestAppendPerSetMatchesOracle(t *testing.T) {
 
 // TestRenderingLifetime: a reply stays byte-identical to the oracle as
 // its entry's rendering is made, reused and dropped — by LRU eviction,
-// by DELETE /v1/cell, across GC — and concurrent first hits on an entry
-// that has no rendering yet give the same body.
+// by DELETE /v1/cell, across GC — and concurrent hits on an entry made
+// outside the server give the same body.
 func TestRenderingLifetime(t *testing.T) {
 	defer testutil.CheckLeaks(t)
 	golden := openTestStore(t, resultstore.Options{})
@@ -631,8 +705,8 @@ func TestRenderingLifetime(t *testing.T) {
 	}
 	ask(cell(1, true))
 
-	// An entry made outside the server has no rendering: concurrent
-	// first hits all render it, and every body matches.
+	// An entry made outside the server carries its rendering too:
+	// concurrent hits all serve it, and every body matches.
 	c := cell(4, false)
 	cfg, err := srv.simConfig(&c.over)
 	if err != nil {
