@@ -112,14 +112,15 @@ bench-grid:
 # disk), the key layer (BenchmarkCellKey: catalog names, inline
 # declarations), the disk tier's encode and decode
 # (BenchmarkEncodeManifest, BenchmarkDecodeManifest: one 1024-set
-# manifest) and the HTTP edge of a warm /v1/cell hit
-# (BenchmarkServeCell: memory, memory with per-set counts, disk),
-# summarised into BENCH_serve.json.  The key layer, the encode, the
-# decode and the edge are recorded, not gated; the run is gated on the
-# cold/warm ratio: serving a cached cell must beat recomputing it by
-# >= 100x.
+# manifest), the quota GC on the write path (BenchmarkGCForRoom: a
+# publish into a full 2 MiB store of ~400 artifacts) and the HTTP edge
+# of a warm /v1/cell hit (BenchmarkServeCell: memory, memory with
+# per-set counts, disk), summarised into BENCH_serve.json.  The key
+# layer, the encode, the decode, the GC and the edge are recorded, not
+# gated; the run is gated on the cold/warm ratio: serving a cached cell
+# must beat recomputing it by >= 100x.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkCell(Cold|WarmMemory|WarmDisk|Key)$$|Benchmark(En|De)codeManifest$$|BenchmarkServeCell$$' -benchmem -count 3 \
+	$(GO) test -run '^$$' -bench 'BenchmarkCell(Cold|WarmMemory|WarmDisk|Key)$$|Benchmark(En|De)codeManifest$$|BenchmarkGCForRoom$$|BenchmarkServeCell$$' -benchmem -count 3 \
 		./internal/resultstore ./internal/server \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json \
 			-minspeedup BenchmarkCellCold/BenchmarkCellWarmMemory=$(SERVE_MIN_SPEEDUP)

@@ -25,8 +25,8 @@ func (s *Store) DeleteCell(key string) (bool, error) {
 	removed := s.memRemove(key)
 	if s.dir != "" {
 		mu := s.diskLock(key)
-		for _, path := range []string{s.manifestPath(key), s.legacyManifestPath(key)} {
-			if s.unlink(path, &s.ledger.manifests) >= 0 {
+		for _, tier := range []artifactTier{tierManifest, tierLegacy} {
+			if s.unlink(artifactRef{key, tier}) >= 0 {
 				removed = true
 			}
 		}
@@ -65,12 +65,8 @@ type Stats struct {
 
 // Stats returns the store's current usage.
 func (s *Store) Stats() Stats {
-	st := Stats{
-		BytesUsed:      s.ledger.bytes.Load(),
-		QuotaBytes:     s.quota,
-		Manifests:      s.ledger.manifests.Load(),
-		TraceArtifacts: s.ledger.traces.Load(),
-	}
+	st := Stats{BytesUsed: s.ledger.bytes.Load(), QuotaBytes: s.quota}
+	st.Manifests, st.TraceArtifacts = s.index.tierCounts()
 	if s.mem != nil {
 		s.memMu.Lock()
 		st.MemoryEntries = s.mem.len()

@@ -2,6 +2,11 @@ package resultstore
 
 import (
 	"context"
+	"fmt"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"cacheuniformity/internal/addr"
@@ -169,4 +174,85 @@ func BenchmarkDecodeManifest(b *testing.B) {
 			b.Fatalf("decode: rendering %d bytes, err %v", len(rendering), err)
 		}
 	}
+}
+
+// BenchmarkGCForRoom measures the quota GC on the write path: one op is
+// a publish into a full store that must collect before its artifact
+// fits.  The store holds all 512 shard directories and ~400 artifacts
+// (a manifest or, one in four, a compiled trace, ~5 KiB each) under a
+// 2 MiB quota.  Refilling the store to the brink between ops is not
+// timed.  index_B/artifact is the heap the recency index holds per
+// artifact, measured over a separate index of 1<<14 entries.
+func BenchmarkGCForRoom(b *testing.B) {
+	const quota = 2 << 20
+	perArtifact := indexBytesPerArtifact()
+	dir := b.TempDir()
+	for i := range 256 {
+		for _, shard := range []string{filepath.Join(dir, fmt.Sprintf("%02x", i)), filepath.Join(dir, traceDirName, fmt.Sprintf("%02x", i))} {
+			if err := os.MkdirAll(shard, 0o755); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	s, err := Open(Options{Dir: dir, QuotaBytes: quota, MemoryEntries: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 5000)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range payload {
+		payload[i] = byte(rng.Uint32())
+	}
+	zdata, err := deflate(payload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	size := int64(len(zdata))
+	next := 0
+	publish := func() {
+		ref := artifactRef{synthKey(next), tierManifest}
+		if next%4 == 3 {
+			ref.tier = tierTrace
+		}
+		next++
+		if err := s.publish(ref, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for s.gcRuns.Load() == 0 {
+		publish()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		for s.ledger.bytes.Load()+size <= quota {
+			publish()
+		}
+		runs := s.gcRuns.Load()
+		b.StartTimer()
+		publish()
+		if s.gcRuns.Load() != runs+1 {
+			b.Fatal("the publish into a full store ran no GC")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(perArtifact, "index_B/artifact")
+}
+
+// indexBytesPerArtifact returns the live heap a recency index holds per
+// entry, keys included, at 1<<14 entries of 64-hex-digit keys.
+func indexBytesPerArtifact() float64 {
+	const n = 1 << 14
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := &recency{mtimes: make(map[artifactRef]int64)}
+	for i := range n {
+		r.record(artifactRef{synthKey(i), artifactTier(i % 3)}, int64(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	return float64(after.HeapAlloc-before.HeapAlloc) / n
 }

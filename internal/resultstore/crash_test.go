@@ -96,7 +96,7 @@ func TestCrashMidScrubConverges(t *testing.T) {
 		checkInvariants(t, seedStore)
 	}
 	// Garbage a crashed writer could leave: temp files at top level and
-	// in a shard, plus an artifact copied into the wrong shard.
+	// in a shard, plus artifacts copied into the wrong directory.
 	shard := filepath.Join(dir, synthKey(0)[:2])
 	garbage := []string{
 		filepath.Join(dir, tmpPrefix+"123"),
@@ -116,6 +116,15 @@ func TestCrashMidScrubConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(misplaced, []byte("misplaced"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A trace under a directory that is not a shard name, though its key
+	// starts with it: no read or eviction would ever find it there.
+	nonShard := filepath.Join(dir, traceDirName, wrongShard[:3], wrongShard+traceExt)
+	if err := os.MkdirAll(filepath.Dir(nonShard), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(nonShard, []byte("non-shard"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,7 +152,7 @@ func TestCrashMidScrubConverges(t *testing.T) {
 	swapRemove(t, os.Remove)
 	s2 := openTemp(t, Options{Dir: dir, MemoryEntries: -1})
 	checkInvariants(t, s2)
-	for _, p := range append(garbage, misplaced) {
+	for _, p := range append(garbage, misplaced, nonShard) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("garbage %s survived the second scrub", p)
 		}

@@ -3,6 +3,7 @@ package resultstore
 import (
 	"errors"
 	"io/fs"
+	"maps"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,6 +17,8 @@ import (
 //   - physical bytes ≤ ledger ≤ quota;
 //   - ledger == Σ on-disk artifact sizes, and Stats() counts the
 //     artifacts a directory walk finds;
+//   - the recency index holds exactly the artifacts the walk finds,
+//     each under its own tier and at the mtime its file reports;
 //   - the memory LRU holds at most its capacity;
 //   - every flight map in the lock table is empty;
 //   - every artifact sits under its own key's shard directory.
@@ -48,6 +51,7 @@ func checkInvariants(t *testing.T, s *Store) {
 		return
 	}
 	var physical, artifactBytes, manifests, traces int64
+	walked := make(map[artifactRef]int64)
 	werr := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -60,15 +64,16 @@ func checkInvariants(t *testing.T, s *Store) {
 		name := d.Name()
 		var key string
 		var at func(string) string
+		var tier artifactTier
 		switch {
 		case strings.HasSuffix(name, manifestExt):
-			key, at = strings.TrimSuffix(name, manifestExt), s.manifestPath
+			key, at, tier = strings.TrimSuffix(name, manifestExt), s.manifestPath, tierManifest
 			manifests++
 		case strings.HasSuffix(name, legacyManifestExt):
-			key, at = strings.TrimSuffix(name, legacyManifestExt), s.legacyManifestPath
+			key, at, tier = strings.TrimSuffix(name, legacyManifestExt), s.legacyManifestPath, tierLegacy
 			manifests++
 		case strings.HasSuffix(name, traceExt):
-			key, at = strings.TrimSuffix(name, traceExt), s.tracePath
+			key, at, tier = strings.TrimSuffix(name, traceExt), s.tracePath, tierTrace
 			traces++
 		default:
 			return nil
@@ -76,6 +81,7 @@ func checkInvariants(t *testing.T, s *Store) {
 		if len(key) < 2 || path != at(key) {
 			t.Errorf("artifact %s is outside its key's shard", path)
 		}
+		walked[artifactRef{key, tier}] = info.ModTime().UnixNano()
 		artifactBytes += info.Size()
 		return nil
 	})
@@ -91,5 +97,22 @@ func checkInvariants(t *testing.T, s *Store) {
 	if manifests != st.Manifests || traces != st.TraceArtifacts {
 		t.Errorf("Stats counts %d manifests / %d traces, walk finds %d / %d",
 			st.Manifests, st.TraceArtifacts, manifests, traces)
+	}
+	s.index.mu.Lock()
+	indexed := maps.Clone(s.index.mtimes)
+	s.index.mu.Unlock()
+	for ref, mtime := range walked {
+		got, ok := indexed[ref]
+		switch {
+		case !ok:
+			t.Errorf("artifact %s is not indexed", s.artifactPath(ref))
+		case got != mtime:
+			t.Errorf("index has %s at mtime %d, the file reports %d", s.artifactPath(ref), got, mtime)
+		}
+	}
+	for ref := range indexed {
+		if _, ok := walked[ref]; !ok {
+			t.Errorf("index holds %s, which the walk does not find", s.artifactPath(ref))
+		}
 	}
 }

@@ -22,8 +22,9 @@ import "sync"
 // Lock order: gcMu → disk.  A quota reservation may run GC, which takes
 // gcMu and then disk stripes, so a writer reserves before it takes its
 // own stripe and never holds a disk stripe while waiting for gcMu.
-// flightMu, memMu and the trace cache's mutex are leaf locks: nothing
-// else is acquired under them and they are never held across I/O.
+// flightMu, memMu, the recency index's mutex and the trace cache's
+// mutex are leaf locks: nothing else is acquired under them and they
+// are never held across I/O.
 //
 // The table is sized for the disk locks, which are held across real
 // file I/O, so collisions are paid in milliseconds rather than

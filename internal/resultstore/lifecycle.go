@@ -1,19 +1,21 @@
 package resultstore
 
 import (
+	"cmp"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // The storage lifecycle layer: a byte ledger over both artifact tiers
 // (manifests and compiled traces), a configurable quota enforced by
-// LRU-by-AccessedAt disk GC, and throttled access-time tracking so the
-// GC's recency order reflects reads, not just writes.
+// LRU-by-AccessedAt disk GC, a recency index that keeps the GC's order
+// between runs, and throttled access-time tracking so that order
+// reflects reads, not just writes.
 //
 // Accounting is reservation-based: a writer charges the ledger BEFORE
 // its artifact reaches disk and settles the difference after the
@@ -21,18 +23,24 @@ import (
 // and the ledger never exceeds the quota — the store cannot overshoot
 // its budget even transiently, no matter how many writers race.  When a
 // reservation does not fit, the reserving writer runs GC inline (under
-// gcMu, so concurrent reservers wait rather than scanning twice) and
+// gcMu, so concurrent reservers wait rather than collecting twice) and
 // evicts the coldest artifacts until the write fits, with a slack of
 // quota/16 below the target so back-to-back writes do not each pay a
-// scan.
+// collection.
 //
 // GC orders artifacts by file mtime, which the store maintains as an
 // AccessedAt: disk hits bump the artifact's mtime (throttled by
 // TouchInterval so a hot artifact pays one utimes per interval, not one
-// per read).  Crash tolerance is inherited from the scrub: the ledger
-// is process-local and rebuilt from a directory walk at every Open, so
-// a crash between an unlink and its ledger update costs nothing but
-// the accuracy of the dying process's counters.
+// per read).  The recency index holds every artifact's mtime as the
+// file system reports it, so a collection sorts the index instead of
+// walking the store: Open's scrub seeds it, and publish, touch and
+// unlink — the only paths that create, re-time or remove an artifact —
+// keep it current under the key's disk lock.  It also counts the
+// artifacts of each tier.  Crash tolerance is inherited from the scrub:
+// the ledger and the index are process-local and rebuilt from a
+// directory walk at every Open, so a crash between an unlink and its
+// ledger update costs nothing but the accuracy of the dying process's
+// counters.
 
 // DefaultTouchInterval throttles AccessedAt mtime bumps when Options
 // leaves TouchInterval zero.
@@ -54,17 +62,7 @@ func lifecycleNow() time.Time { return time.Now() }
 // includes in-flight reservations, so it is an upper bound on what is
 // physically on disk.
 type ledger struct {
-	bytes     atomic.Int64
-	manifests atomic.Int64
-	traces    atomic.Int64
-}
-
-// objects returns the object count of one artifact tier.
-func (l *ledger) objects(trace bool) *atomic.Int64 {
-	if trace {
-		return &l.traces
-	}
-	return &l.manifests
+	bytes atomic.Int64
 }
 
 // reserve charges size bytes against the quota, evicting cold artifacts
@@ -98,7 +96,8 @@ func (s *Store) release(size int64) { s.ledger.bytes.Add(-size) }
 
 // gcForRoom evicts until a write of need bytes fits under the quota.
 // Reservers serialise on gcMu, so a burst of writers over quota runs one
-// scan; later arrivals re-check and often find the room already freed.
+// collection; later arrivals re-check and often find the room already
+// freed.
 func (s *Store) gcForRoom(need int64) bool {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
@@ -154,38 +153,23 @@ func (s *Store) GC(target int64) GCReport {
 	}
 }
 
-// artifact is one GC candidate found by the disk scan.
-type artifact struct {
-	path  string
-	key   string
-	mtime int64 // unix nanoseconds; the LRU order
-	trace bool
-}
-
-// evictTo scans both artifact tiers and removes the least recently
-// accessed files until the ledger reaches target.  Callers hold gcMu
-// (one scan at a time); per-key disk locks serialise each removal
-// against writers of the same cell, and the unlink re-stats inside the
-// lock so a file replaced since the scan is accounted at its current
-// size.  Holds no tracked lock itself, so the file I/O below cannot
-// stall an unrelated critical section.
+// evictTo removes the least recently accessed artifacts, coldest first
+// in the recency index's order, until the ledger reaches target.
+// Callers hold gcMu (one collection at a time); per-key disk locks
+// serialise each removal against writers of the same cell, and the
+// unlink re-stats inside the lock so a file replaced since the snapshot
+// is accounted at its current size.  Holds no tracked lock itself, so
+// the file I/O below cannot stall an unrelated critical section.
 func (s *Store) evictTo(target int64) (evicted int, reclaimed int64) {
 	if s.dir == "" {
 		return 0, 0
 	}
-	candidates := s.scanArtifacts()
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].mtime != candidates[j].mtime {
-			return candidates[i].mtime < candidates[j].mtime
-		}
-		return candidates[i].path < candidates[j].path
-	})
-	for _, a := range candidates {
+	for _, a := range s.index.coldestFirst() {
 		if s.ledger.bytes.Load() <= target {
 			break
 		}
 		mu := s.diskLock(a.key)
-		n := s.unlink(a.path, s.ledger.objects(a.trace))
+		n := s.unlink(a.artifactRef)
 		mu.Unlock()
 		if n > 0 {
 			evicted++
@@ -199,124 +183,134 @@ func (s *Store) evictTo(target int64) (evicted int, reclaimed int64) {
 	return evicted, reclaimed
 }
 
-// scanArtifacts returns every recognised artifact in a shard directory:
-// compressed and legacy manifests under the 256 manifest shards,
-// compiled traces under traces/.  Unrecognised files are the scrub's
-// business, not the GC's.
-func (s *Store) scanArtifacts() []artifact {
-	var out []artifact
-	s.walk(func(dir, shard string, trace bool, e os.DirEntry) {
-		if !isShardName(shard) {
-			return
-		}
-		key, isTrace, ok := artifactIdentity(e.Name(), shard)
-		if !ok || isTrace != trace {
-			return
-		}
-		info, err := e.Info()
-		if err != nil {
-			return
-		}
-		out = append(out, artifact{
-			path:  filepath.Join(dir, e.Name()),
-			key:   key,
-			mtime: info.ModTime().UnixNano(),
-			trace: trace,
-		})
-	})
+// artifactTier is the form of one on-disk artifact; with the artifact's
+// key it determines the file's path.  The constants are in the order
+// compareCandidates breaks an mtime tie within one key.
+type artifactTier uint8
+
+const (
+	tierLegacy   artifactTier = iota // <dir>/<xx>/<key>.json
+	tierManifest                     // <dir>/<xx>/<key>.json.z
+	tierTrace                        // <dir>/traces/<xx>/<key>.ctz
+)
+
+// artifactRef names one on-disk artifact.  The index stores refs, not
+// paths: a path is derived on demand by artifactPath.
+type artifactRef struct {
+	key  string
+	tier artifactTier
+}
+
+// artifactPath returns the file path of ref.
+func (s *Store) artifactPath(ref artifactRef) string {
+	switch ref.tier {
+	case tierLegacy:
+		return s.legacyManifestPath(ref.key)
+	case tierTrace:
+		return s.tracePath(ref.key)
+	}
+	return s.manifestPath(ref.key)
+}
+
+// recency is the index of the store's on-disk artifacts: each one's
+// mtime in unix nanoseconds, and the number of artifacts of each tier.
+// An entry costs its map slot (a 24-byte ref and an 8-byte mtime) plus
+// the key string it shares with the caller that recorded it.  mu is a
+// leaf lock, never held across I/O.
+type recency struct {
+	mu     sync.Mutex
+	mtimes map[artifactRef]int64
+	counts [tierTrace + 1]int64
+}
+
+// record sets ref's mtime, adding the entry when it is new.
+func (r *recency) record(ref artifactRef, mtime int64) {
+	r.mu.Lock()
+	n := len(r.mtimes)
+	r.mtimes[ref] = mtime
+	if len(r.mtimes) > n {
+		r.counts[ref.tier]++
+	}
+	r.mu.Unlock()
+}
+
+// drop removes ref's entry, if any.
+func (r *recency) drop(ref artifactRef) {
+	r.mu.Lock()
+	n := len(r.mtimes)
+	delete(r.mtimes, ref)
+	if len(r.mtimes) < n {
+		r.counts[ref.tier]--
+	}
+	r.mu.Unlock()
+}
+
+// tierCounts returns the number of manifests (both forms) and of
+// compiled-trace artifacts.
+func (r *recency) tierCounts() (manifests, traces int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.counts[tierLegacy] + r.counts[tierManifest], r.counts[tierTrace]
+}
+
+// candidate is one artifact of a GC snapshot.
+type candidate struct {
+	artifactRef
+	mtime int64
+}
+
+// coldestFirst snapshots the index in eviction order (compareCandidates).
+func (r *recency) coldestFirst() []candidate {
+	r.mu.Lock()
+	out := make([]candidate, 0, len(r.mtimes))
+	//lint:allow detrand the snapshot is sorted below under a total order (mtime, then path), so map order cannot leak out.
+	for ref, mtime := range r.mtimes {
+		out = append(out, candidate{ref, mtime})
+	}
+	r.mu.Unlock()
+	slices.SortFunc(out, compareCandidates)
 	return out
 }
 
-// walk is the store's one directory walker, shared by the scrub and
-// disk GC; each caller makes its own per-file decision.  It calls visit
-// for every file at the store root (shard == ""), in every manifest
-// shard directory <dir>/<xx>/, and in every directory under traces/
-// (trace == true) — shard-named or not, so the scrub can sweep store
-// files a non-shard directory should not hold.  Entries arrive in
-// directory order; subdirectories of shards are not entered.
-func (s *Store) walk(visit func(dir, shard string, trace bool, e os.DirEntry)) {
-	root, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
+// compareCandidates orders artifacts by mtime, then by path, without
+// building the paths.  Every path starts with the store directory.  A
+// manifest's continues with its shard and a trace's with "traces/", and
+// 't' sorts after every hex digit, so traces follow manifests.  Within
+// a tier the paths continue "<key[:2]>/<key><ext>": the shard is the
+// key's prefix and each extension starts with '.', which sorts before
+// every hex digit, so the paths compare as the keys do, and one key's
+// ".json" before its ".json.z".
+func compareCandidates(a, b candidate) int {
+	if c := cmp.Compare(a.mtime, b.mtime); c != 0 {
+		return c
 	}
-	for _, e := range root {
-		switch name := e.Name(); {
-		case !e.IsDir():
-			visit(s.dir, "", false, e)
-		case name == traceDirName:
-			tdir := filepath.Join(s.dir, name)
-			shards, err := os.ReadDir(tdir)
-			if err != nil {
-				continue
-			}
-			for _, sh := range shards {
-				if sh.IsDir() {
-					walkShard(filepath.Join(tdir, sh.Name()), sh.Name(), true, visit)
-				}
-			}
-		case isShardName(name):
-			walkShard(filepath.Join(s.dir, name), name, false, visit)
+	if at, bt := a.tier == tierTrace, b.tier == tierTrace; at != bt {
+		if at {
+			return 1
 		}
+		return -1
 	}
+	if c := strings.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.tier, b.tier)
 }
 
-// walkShard calls visit for each file of one shard directory.
-func walkShard(dir, shard string, trace bool, visit func(dir, shard string, trace bool, e os.DirEntry)) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
+// recordMtime indexes ref at the mtime the file system reports for path.
+// Callers hold ref's disk lock and have just written or re-timed the
+// file; if it cannot be statted, the entry is left as it was.
+func (s *Store) recordMtime(ref artifactRef, path string) {
+	if st, err := os.Stat(path); err == nil {
+		s.index.record(ref, st.ModTime().UnixNano())
 	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			visit(dir, shard, trace, e)
-		}
-	}
-}
-
-// artifactIdentity parses a filename into its cell/trace key, requiring
-// the key to live in its own shard directory.  ok is false for
-// temp files, foreign files, and artifacts copied into the wrong shard.
-func artifactIdentity(name, shard string) (key string, trace bool, ok bool) {
-	switch {
-	case strings.HasSuffix(name, manifestExt):
-		key = strings.TrimSuffix(name, manifestExt)
-	case strings.HasSuffix(name, legacyManifestExt):
-		key = strings.TrimSuffix(name, legacyManifestExt)
-	case strings.HasSuffix(name, traceExt):
-		key, trace = strings.TrimSuffix(name, traceExt), true
-	default:
-		return "", false, false
-	}
-	if !isHexKey(key) || !strings.HasPrefix(key, shard) {
-		return "", false, false
-	}
-	return key, trace, true
-}
-
-// isShardName reports a two-hex-digit shard directory name.
-func isShardName(name string) bool {
-	return len(name) == 2 && isHexKey(name)
-}
-
-// isHexKey reports a lowercase-hex string of plausible key shape.
-func isHexKey(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // touch bumps an artifact's AccessedAt (its mtime) after a disk hit,
 // throttled so a hot artifact pays at most one utimes per
-// TouchInterval.  Failures are ignored: the artifact may have been
-// evicted between the read and the touch, which only costs recency.
-func (s *Store) touch(key, path string) {
+// TouchInterval, and re-indexes it at its new mtime.  Failures are
+// ignored: the artifact may have been evicted between the read and the
+// touch, which only costs recency.
+func (s *Store) touch(ref artifactRef, path string) {
 	if s.touchEvery < 0 {
 		return
 	}
@@ -325,9 +319,10 @@ func (s *Store) touch(key, path string) {
 	if err != nil || now.Sub(st.ModTime()) < s.touchEvery {
 		return
 	}
-	mu := s.diskLock(key)
+	mu := s.diskLock(ref.key)
 	defer mu.Unlock()
 	if err := os.Chtimes(path, now, now); err == nil {
 		s.touchWrites.Add(1)
+		s.recordMtime(ref, path)
 	}
 }

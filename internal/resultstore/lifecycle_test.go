@@ -1,18 +1,24 @@
 package resultstore
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"cacheuniformity/internal/core"
 	"cacheuniformity/internal/testutil"
+	"cacheuniformity/internal/workload"
 )
 
 // synthKey derives a distinct, well-formed cell key for synthetic fills.
@@ -354,4 +360,213 @@ func TestStatsTracksLedger(t *testing.T) {
 	if st2 := s2.Stats(); st2.BytesUsed != st.BytesUsed || st2.Manifests != 10 {
 		t.Errorf("rebuilt ledger %+v, want bytes %d / 10 manifests", st2, st.BytesUsed)
 	}
+}
+
+// scanned is one artifact in GC order: its path and mtime.
+type scanned struct {
+	path  string
+	mtime int64
+}
+
+// scanArtifacts is the test oracle for the GC order: the collection's
+// original disk scan, which read every shard directory and statted each
+// recognised artifact — compressed and legacy manifests under the 256
+// manifest shards, compiled traces under traces/ — and sorted them by
+// mtime, then path.
+func scanArtifacts(s *Store) []scanned {
+	var out []scanned
+	s.walk(func(dir, shard string, trace bool, e os.DirEntry) {
+		if !isShardName(shard) {
+			return
+		}
+		ref, ok := artifactIdentity(e.Name(), shard)
+		if !ok || (ref.tier == tierTrace) != trace {
+			return
+		}
+		info, err := e.Info()
+		if err != nil {
+			return
+		}
+		out = append(out, scanned{filepath.Join(dir, e.Name()), info.ModTime().UnixNano()})
+	})
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].mtime != out[j].mtime {
+			return out[i].mtime < out[j].mtime
+		}
+		return out[i].path < out[j].path
+	})
+	return out
+}
+
+// indexOrder is the recency index's GC snapshot in the oracle's terms.
+func indexOrder(s *Store) []scanned {
+	var out []scanned
+	for _, a := range s.index.coldestFirst() {
+		out = append(out, scanned{s.artifactPath(a.artifactRef), a.mtime})
+	}
+	return out
+}
+
+// TestGCOrderMatchesScan: over a random history of fills, trace
+// publishes, touching reads, admin deletes, legacy migrations, GCs and
+// restarts, the recency index's eviction order before every GC is the
+// one the disk scan it replaces would have produced.  Restarts plant
+// legacy manifests and give several artifacts one shared mtime, so the
+// path tie-break is exercised across all three tiers.
+func TestGCOrderMatchesScan(t *testing.T) {
+	defer testutil.CheckLeaks(t)
+	dir := t.TempDir()
+	cfg := tinyConfig()
+	ct, err := workload.MustLookup("crc").Compile(context.Background(), 1, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceData := ct.Marshal()
+	opts := Options{Dir: dir, QuotaBytes: 12 << 10, MemoryEntries: -1, TouchInterval: time.Nanosecond}
+	s := openTemp(t, opts)
+	rng := rand.New(rand.NewPCG(35, 1))
+	const cells, traces = 32, 8
+	cellKey := func() (int, string) { i := rng.IntN(cells); return i, synthKey(i) }
+	traceKey := func() string { return synthKey(cells + rng.IntN(traces)) }
+
+	var gcs, ties, restarts int
+	var evictions, touches, migrations uint64
+	tally := func() {
+		c := s.Counters()
+		evictions += c.GCEvictions
+		touches += c.TouchWrites
+		migrations += c.Migrations
+	}
+	var step int
+	gc := func(target int64) {
+		want := scanArtifacts(s)
+		if got := indexOrder(s); !slices.Equal(got, want) {
+			t.Fatalf("step %d: GC order from the index\n%v\nwant the scan's\n%v", step, got, want)
+		}
+		for i := 1; i < len(want); i++ {
+			if want[i].mtime == want[i-1].mtime {
+				ties++
+			}
+		}
+		s.GC(target)
+		gcs++
+	}
+	for ; step < 800; step++ {
+		switch op := rng.IntN(40); {
+		case op < 15:
+			i, key := cellKey()
+			if err := s.Fill(key, cfg, synthResult(i)); err != nil {
+				t.Fatal(err)
+			}
+		case op < 18:
+			if err := s.publish(artifactRef{traceKey(), tierTrace}, traceData); err != nil {
+				t.Fatal(err)
+			}
+		case op < 29:
+			_, key := cellKey()
+			s.Peek(key)
+		case op < 32:
+			s.loadTrace(traceKey())
+		case op < 34:
+			_, key := cellKey()
+			if _, err := s.DeleteCell(key); err != nil {
+				t.Fatal(err)
+			}
+		case op < 38:
+			gc(s.Stats().BytesUsed * int64(8+rng.IntN(2)) / 10)
+		default:
+			tally()
+			restart(t, s, rng, cfg)
+			// The planted legacy manifests may overfill the quota; the
+			// store's default collection brings it back under.
+			s = openTemp(t, opts)
+			gc(0)
+			restarts++
+		}
+		checkInvariants(t, s)
+	}
+	tally()
+	if gcs == 0 || ties == 0 || restarts == 0 || evictions == 0 || touches == 0 || migrations == 0 {
+		t.Errorf("history too thin: %d GCs, %d mtime ties, %d restarts, %d evictions, %d touches, %d migrations",
+			gcs, ties, restarts, evictions, touches, migrations)
+	}
+}
+
+// restart prepares s's directory for the next Open while s is idle:
+// legacy manifests for a few cells, beside a compressed one or alone,
+// and several artifacts — each planted legacy manifest with its
+// compressed form, and a few at random — re-timed to one shared instant.
+func restart(t *testing.T, s *Store, rng *rand.Rand, cfg core.Config) {
+	t.Helper()
+	at := time.Now().Add(-time.Minute)
+	retime := func(path string) {
+		if err := os.Chtimes(path, at, at); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatal(err)
+		}
+	}
+	for n := 0; n < 3; n++ {
+		i := rng.IntN(32)
+		key := synthKey(i)
+		data, _, err := encodeManifest(key, s.version, cfg, synthResult(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFileAtomic(s.legacyManifestPath(key), data); err != nil {
+			t.Fatal(err)
+		}
+		retime(s.legacyManifestPath(key))
+		retime(s.manifestPath(key))
+	}
+	arts := scanArtifacts(s)
+	for n := 0; n < 4 && len(arts) > 0; n++ {
+		retime(arts[rng.IntN(len(arts))].path)
+	}
+}
+
+// TestLiveScrubRacesWriters: a live Scrub leaves the recency index to
+// the publish, touch and unlink paths, so a walk that races admin
+// deletes, fills and GC cannot re-index an artifact they removed.
+func TestLiveScrubRacesWriters(t *testing.T) {
+	defer testutil.CheckLeaks(t)
+	s := openTemp(t, Options{Dir: t.TempDir(), QuotaBytes: 32 << 10, MemoryEntries: -1, TouchInterval: time.Nanosecond})
+	cfg := tinyConfig()
+	stop := make(chan struct{})
+	scrubbed := make(chan struct{})
+	go func() {
+		defer close(scrubbed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Scrub()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 300; i += 3 {
+				if err := s.Fill(synthKey(i%100), cfg, synthResult(i%100)); err != nil {
+					t.Errorf("fill: %v", err)
+				}
+				switch i % 5 {
+				case 1:
+					if _, err := s.DeleteCell(synthKey(i * 7 % 100)); err != nil {
+						t.Errorf("delete: %v", err)
+					}
+				case 3:
+					s.GC(s.Stats().BytesUsed / 2)
+				case 4:
+					s.Peek(synthKey(i * 3 % 100))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-scrubbed
+	checkInvariants(t, s)
 }

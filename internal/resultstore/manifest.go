@@ -13,7 +13,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"cacheuniformity/internal/cache"
 	"cacheuniformity/internal/core"
@@ -177,7 +176,7 @@ func (s *Store) persist(key string, data []byte) {
 	if data == nil {
 		return
 	}
-	if err := s.publish(key, s.manifestPath(key), data, &s.ledger.manifests, s.legacyManifestPath(key)); err != nil {
+	if err := s.publish(artifactRef{key, tierManifest}, data); err != nil {
 		s.persistErrors.Add(1)
 	}
 }
@@ -186,15 +185,15 @@ func (s *Store) persist(key string, data []byte) {
 // compiled traces alike.  The payload is compressed and its bytes
 // reserved against the quota first — reserving may run GC, so it happens
 // before the key's disk lock is taken (lock order gcMu → disk).  Then,
-// under that lock, the artifact is written to path by temp file +
-// rename and the ledger settled: a replaced file's old size is refunded,
-// a new file adds one to objects, and a failed write releases the
-// reservation.  A crash mid-write leaves a *.tmp-* orphan for the next
-// scrub and never a torn artifact under the final name; readers that
-// race the rename see either nothing or the complete file.  After a
-// successful write, retire (when set) is unlinked under the same lock:
-// a manifest publish retires the key's legacy uncompressed form.
-func (s *Store) publish(key, path string, payload []byte, objects *atomic.Int64, retire string) error {
+// under that lock, the artifact is written to its path by temp file +
+// rename, the ledger settled (a replaced file's old size is refunded, a
+// failed write releases the reservation) and the artifact indexed at
+// its new mtime.  A crash mid-write leaves a *.tmp-* orphan for the
+// next scrub and never a torn artifact under the final name; readers
+// that race the rename see either nothing or the complete file.  A
+// manifest publish then retires the key's legacy uncompressed form
+// under the same lock.
+func (s *Store) publish(ref artifactRef, payload []byte) error {
 	zdata, err := deflate(payload)
 	if err != nil {
 		return err
@@ -203,7 +202,8 @@ func (s *Store) publish(key, path string, payload []byte, objects *atomic.Int64,
 		return err
 	}
 
-	mu := s.diskLock(key)
+	path := s.artifactPath(ref)
+	mu := s.diskLock(ref.key)
 	defer mu.Unlock()
 	oldSize := fileSize(path)
 	if err := writeFileAtomic(path, zdata); err != nil {
@@ -212,31 +212,33 @@ func (s *Store) publish(key, path string, payload []byte, objects *atomic.Int64,
 	}
 	if oldSize >= 0 {
 		s.ledger.bytes.Add(-oldSize)
-	} else {
-		objects.Add(1)
 	}
-	if retire != "" {
-		s.unlink(retire, objects)
+	s.recordMtime(ref, path)
+	if ref.tier == tierManifest {
+		s.unlink(artifactRef{ref.key, tierLegacy})
 	}
 	return nil
 }
 
-// unlink is the one remove path for on-disk artifacts: it removes path
-// and settles the ledger by the file's size and one object of its tier.
-// It returns the bytes freed, or -1 when the file was absent or the
-// unlink failed — a failed unlink leaves the ledger charged, which errs
-// toward under-use, and the next Open's scrub reconciles it.  Callers
-// hold the key's disk lock.
-func (s *Store) unlink(path string, objects *atomic.Int64) int64 {
+// unlink is the one remove path for on-disk artifacts: it removes the
+// file, settles the ledger by its size and drops its index entry.  It
+// returns the bytes freed, or -1 when the file was absent or the unlink
+// failed.  An absent file's entry is dropped too, so the index never
+// keeps a path that is gone; a failed unlink keeps the entry and leaves
+// the ledger charged, which errs toward under-use, and the next Open's
+// scrub reconciles it.  Callers hold the key's disk lock.
+func (s *Store) unlink(ref artifactRef) int64 {
+	path := s.artifactPath(ref)
 	size := fileSize(path)
 	if size < 0 {
+		s.index.drop(ref)
 		return -1
 	}
 	if err := osRemove(path); err != nil {
 		return -1
 	}
 	s.ledger.bytes.Add(-size)
-	objects.Add(-1)
+	s.index.drop(ref)
 	return size
 }
 
@@ -656,7 +658,7 @@ func (s *Store) loadManifest(key string) (res core.Result, rendering []byte, ok 
 	res, rendering, err := readManifestFile(path, key, s.version)
 	switch {
 	case err == nil:
-		s.touch(key, path)
+		s.touch(artifactRef{key, tierManifest}, path)
 		return res, rendering, true
 	case !os.IsNotExist(err):
 		s.corrupt.Add(1)
@@ -690,7 +692,7 @@ func (s *Store) loadManifest(key string) (res core.Result, rendering []byte, ok 
 // serving reads; the counterless degradation is deliberate, the next
 // read retries.
 func (s *Store) migrateLegacy(key string, data []byte) {
-	if s.publish(key, s.manifestPath(key), data, &s.ledger.manifests, s.legacyManifestPath(key)) == nil {
+	if s.publish(artifactRef{key, tierManifest}, data) == nil {
 		s.migrations.Add(1)
 	}
 }

@@ -101,14 +101,18 @@ type Store struct {
 	touchEvery time.Duration
 	deepScrub  bool
 
-	// gcMu serialises disk GC scans; reservations that need room queue
-	// here instead of scanning concurrently.  Ordering: gcMu may be held
+	// gcMu serialises disk GC runs; reservations that need room queue
+	// here instead of collecting concurrently.  Ordering: gcMu may be held
 	// while taking a disk lock, never the reverse (keylocks.go).
 	gcMu sync.Mutex
 
-	// ledger is the byte/object accounting of the on-disk tier, rebuilt
-	// by the startup scrub and settled by every publish and unlink.
+	// ledger is the byte accounting of the on-disk tier, rebuilt by the
+	// startup scrub and settled by every publish and unlink.
 	ledger ledger
+
+	// index is the recency index of the on-disk artifacts (lifecycle.go):
+	// seeded by the startup scrub, kept by publish, touch and unlink.
+	index recency
 
 	// counters; atomics so Counters() never contends with the hot path.
 	memHits       atomic.Uint64
@@ -155,6 +159,7 @@ func Open(opts Options) (*Store, error) {
 		quota:      opts.QuotaBytes,
 		touchEvery: opts.TouchInterval,
 		deepScrub:  opts.DeepScrub,
+		index:      recency{mtimes: make(map[artifactRef]int64)},
 	}
 	if opts.MemoryEntries > 0 {
 		s.mem = newMemLRU(opts.MemoryEntries)
@@ -165,11 +170,9 @@ func Open(opts Options) (*Store, error) {
 	}
 	if s.dir != "" {
 		// No request can race the startup scrub, so its walk is the
-		// ledger: the directory is the single source of truth.
-		rep := s.Scrub()
-		s.ledger.bytes.Store(rep.BytesUsed)
-		s.ledger.manifests.Store(rep.Manifests)
-		s.ledger.traces.Store(rep.TraceArtifacts)
+		// ledger and the index: the directory is the single source of
+		// truth.
+		s.ledger.bytes.Store(s.scrub(true).BytesUsed)
 	}
 	return s, nil
 }

@@ -17,7 +17,8 @@ import (
 // mid-eviction, mid-scrub itself — converges at the next Open, because
 // the directory is the single source of truth and every intermediate
 // state the store can crash in is either a complete artifact or
-// removable garbage.
+// removable garbage.  Open's walk also seeds the recency index
+// (lifecycle.go) with every surviving artifact.
 //
 // The default scrub never opens a file, so a million-cell store pays a
 // directory walk, not a decode storm.  Options.DeepScrub additionally
@@ -35,7 +36,9 @@ type ScrubReport struct {
 	// CorruptRemoved counts empty artifacts, and with DeepScrub every
 	// artifact that failed decode verification.
 	CorruptRemoved int `json:"corrupt_removed"`
-	// Manifests, TraceArtifacts, and BytesUsed are the rebuilt ledger.
+	// Manifests and TraceArtifacts are the recency index's per-tier
+	// counts after the pass; BytesUsed sums the surviving artifacts the
+	// walk found (Open's rebuilt ledger).
 	Manifests      int64 `json:"manifests"`
 	TraceArtifacts int64 `json:"trace_artifacts"`
 	BytesUsed      int64 `json:"bytes_used"`
@@ -46,31 +49,37 @@ const tmpPrefix = ".tmp-"
 
 // Scrub re-walks the store directory and removes garbage, reporting
 // what survives.  Open runs it before serving and rebuilds the ledger
-// from the report.  Calling it again on a live store is safe and leaves
-// the ledger to the incremental accounting: the only files it removes
-// that the ledger counts are corrupt artifacts, and those go through the
-// same unlink-and-settle path as GC.  (Resetting the ledger from a walk
-// that races writers would lose their in-flight reservations.)  Remove
-// failures are skipped: the artifact stays, the ledger counts it, and
-// the next scrub retries.
-func (s *Store) Scrub() ScrubReport {
+// and the recency index from the walk.  Calling it again on a live
+// store is safe and leaves both to the incremental accounting: the only
+// files it removes that they count are corrupt artifacts, and those go
+// through the same unlink-and-settle path as GC.  (Resetting them from
+// a walk that races writers would lose in-flight reservations, and
+// could re-index a file GC has just unlinked.)  Remove failures are
+// skipped: the artifact stays, the ledger counts it, and the next scrub
+// retries.
+func (s *Store) Scrub() ScrubReport { return s.scrub(false) }
+
+// scrub is Scrub; seed (Open's pass only) indexes every surviving
+// artifact at its walked mtime.
+func (s *Store) scrub(seed bool) ScrubReport {
 	var rep ScrubReport
 	if s.dir == "" {
 		return rep
 	}
 	s.walk(func(dir, shard string, trace bool, e os.DirEntry) {
-		s.scrubFile(dir, shard, trace, e, &rep)
+		s.scrubFile(dir, shard, trace, e, seed, &rep)
 	})
+	rep.Manifests, rep.TraceArtifacts = s.index.tierCounts()
 	return rep
 }
 
 // scrubFile classifies one file: temp orphans anywhere are removed; in
 // a shard directory, misplaced artifacts are removed, corrupt ones
 // (empty, or failing the optional deep verification) are unlinked and
-// settled, surviving artifacts are counted into the report, and anything
-// else — a file the store never wrote — is left untouched.  At the root
-// only temp files are the scrub's business.
-func (s *Store) scrubFile(dir, shard string, traceTier bool, e os.DirEntry, rep *ScrubReport) {
+// settled, surviving artifacts are summed into the report (and indexed
+// when seeding), and anything else — a file the store never wrote — is
+// left untouched.  At the root only temp files are the scrub's business.
+func (s *Store) scrubFile(dir, shard string, traceTier bool, e os.DirEntry, seed bool, rep *ScrubReport) {
 	name := e.Name()
 	path := filepath.Join(dir, name)
 	if strings.HasPrefix(name, tmpPrefix) {
@@ -80,8 +89,8 @@ func (s *Store) scrubFile(dir, shard string, traceTier bool, e os.DirEntry, rep 
 	if shard == "" {
 		return
 	}
-	key, isTrace, ok := artifactIdentity(name, shard)
-	if !ok || isTrace != traceTier {
+	ref, ok := artifactIdentity(name, shard)
+	if !ok || (ref.tier == tierTrace) != traceTier {
 		if storeShaped(name) {
 			s.scrubRemove(path, &rep.OrphansRemoved)
 		}
@@ -91,10 +100,10 @@ func (s *Store) scrubFile(dir, shard string, traceTier bool, e os.DirEntry, rep 
 	if err != nil {
 		return
 	}
-	if info.Size() == 0 || s.deepScrub && !s.verifyArtifact(path, key, isTrace) {
+	if info.Size() == 0 || s.deepScrub && !s.verifyArtifact(path, ref) {
 		s.corrupt.Add(1)
-		mu := s.diskLock(key)
-		freed := s.unlink(path, s.ledger.objects(isTrace))
+		mu := s.diskLock(ref.key)
+		freed := s.unlink(ref)
 		mu.Unlock()
 		if freed >= 0 {
 			rep.CorruptRemoved++
@@ -102,10 +111,8 @@ func (s *Store) scrubFile(dir, shard string, traceTier bool, e os.DirEntry, rep 
 		}
 		return
 	}
-	if isTrace {
-		rep.TraceArtifacts++
-	} else {
-		rep.Manifests++
+	if seed {
+		s.index.record(ref, info.ModTime().UnixNano())
 	}
 	rep.BytesUsed += info.Size()
 }
@@ -135,8 +142,8 @@ func (s *Store) scrubRemove(path string, counter *int) {
 // key/version verification as a read; a trace must inflate and
 // unmarshal.  Entries from a different code version parse fine and are
 // kept: they are stale, not corrupt, and the LRU order retires them.
-func (s *Store) verifyArtifact(path, key string, trace bool) bool {
-	if trace {
+func (s *Store) verifyArtifact(path string, ref artifactRef) bool {
+	if ref.tier == tierTrace {
 		f, err := os.Open(path)
 		if err != nil {
 			return false
@@ -157,6 +164,91 @@ func (s *Store) verifyArtifact(path, key string, trace bool) bool {
 	}
 	// Verify against the manifest's own version: a version mismatch
 	// alone is stale, not broken.
-	_, err = m.verify(key, m.Version)
+	_, err = m.verify(ref.key, m.Version)
 	return err == nil
+}
+
+// walk is the scrub's directory walker: it calls visit for every file
+// at the store root (shard == ""), in every manifest shard directory
+// <dir>/<xx>/, and in every directory under traces/ (trace == true) —
+// shard-named or not, so the scrub can sweep store files a non-shard
+// directory should not hold.  Entries arrive in directory order;
+// subdirectories of shards are not entered.
+func (s *Store) walk(visit func(dir, shard string, trace bool, e os.DirEntry)) {
+	root, err := os.ReadDir(s.dir)
+	if err != nil {
+		return
+	}
+	for _, e := range root {
+		switch name := e.Name(); {
+		case !e.IsDir():
+			visit(s.dir, "", false, e)
+		case name == traceDirName:
+			tdir := filepath.Join(s.dir, name)
+			shards, err := os.ReadDir(tdir)
+			if err != nil {
+				continue
+			}
+			for _, sh := range shards {
+				if sh.IsDir() {
+					walkShard(filepath.Join(tdir, sh.Name()), sh.Name(), true, visit)
+				}
+			}
+		case isShardName(name):
+			walkShard(filepath.Join(s.dir, name), name, false, visit)
+		}
+	}
+}
+
+// walkShard calls visit for each file of one shard directory.
+func walkShard(dir, shard string, trace bool, visit func(dir, shard string, trace bool, e os.DirEntry)) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			visit(dir, shard, trace, e)
+		}
+	}
+}
+
+// artifactIdentity parses a filename into the artifact it names,
+// requiring a shard directory name and the key to live in its own
+// shard.  ok is false for temp files, foreign files, and artifacts
+// copied into the wrong shard.
+func artifactIdentity(name, shard string) (ref artifactRef, ok bool) {
+	switch {
+	case strings.HasSuffix(name, manifestExt):
+		ref = artifactRef{strings.TrimSuffix(name, manifestExt), tierManifest}
+	case strings.HasSuffix(name, legacyManifestExt):
+		ref = artifactRef{strings.TrimSuffix(name, legacyManifestExt), tierLegacy}
+	case strings.HasSuffix(name, traceExt):
+		ref = artifactRef{strings.TrimSuffix(name, traceExt), tierTrace}
+	default:
+		return artifactRef{}, false
+	}
+	if !isShardName(shard) || !isHexKey(ref.key) || !strings.HasPrefix(ref.key, shard) {
+		return artifactRef{}, false
+	}
+	return ref, true
+}
+
+// isShardName reports a two-hex-digit shard directory name.
+func isShardName(name string) bool {
+	return len(name) == 2 && isHexKey(name)
+}
+
+// isHexKey reports a lowercase-hex string of plausible key shape.
+func isHexKey(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

@@ -70,7 +70,7 @@ func TraceKey(cfg core.Config, benchKey, version string) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Trace artifact filename grammar, shared with the lifecycle scanners.
+// Trace artifact filename grammar, shared with the scrub.
 const (
 	traceDirName = "traces"
 	traceExt     = ".ctz"
@@ -113,7 +113,7 @@ func (s *Store) fillTrace(ctx context.Context, cfg core.Config, bench workload.S
 	}
 	s.traceCompiles.Add(1)
 	if s.dir != "" {
-		if perr := s.publish(key, s.tracePath(key), ct.Marshal(), &s.ledger.traces, ""); perr != nil {
+		if perr := s.publish(artifactRef{key, tierTrace}, ct.Marshal()); perr != nil {
 			s.persistErrors.Add(1)
 		}
 	}
@@ -142,7 +142,7 @@ func (s *Store) loadTrace(key string) *trace.Compiled {
 		s.corrupt.Add(1)
 		return nil
 	}
-	s.touch(key, path)
+	s.touch(artifactRef{key, tierTrace}, path)
 	return ct
 }
 
